@@ -9,9 +9,11 @@ all: build
 build:
 	go build ./...
 
-# Run the full test suite with the race detector, as CI does.
+# Run the full test suite with the race detector, as CI does, then vet and
+# test the benchmark module (its own go.mod, so ./... above skips it).
 test:
 	go test -race ./...
+	cd perfbench && go vet ./... && go test ./...
 
 # Formatting and static checks (gofmt + go vet + doc-comment, API-lock,
 # and markdown-link checks; no external linters).

@@ -4,12 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"log/slog"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
-	"sync"
 	"time"
 
 	"glade/internal/campaign"
@@ -77,61 +71,23 @@ type CampaignStatus struct {
 	Report *campaign.Report `json:"report,omitempty"`
 }
 
-// CampaignRun is one campaign owned by the server. Mutable fields are
-// guarded by mu; changed is closed and replaced on every mutation so
-// watchers block for "anything new" without polling (the Job pattern).
+// CampaignRun is one campaign owned by the server. Its lifecycle lives in
+// the embedded task; the fields below are guarded by the task's mu.
 type CampaignRun struct {
-	ID   string
+	*task
 	Spec CampaignSpec
 
-	mu        sync.Mutex
-	changed   chan struct{}
-	state     JobState
+	// phase is "learn" or "fuzz" while the campaign runs.
 	phase     string
 	oracle    string
 	grammarID string
-	err       string
-	created   time.Time
-	started   time.Time
-	finished  time.Time
 	report    campaign.Report
 	hasReport bool
-	seq       int // increments on every mutation; the watch cursor space
-	// cancel aborts the running campaign's context; set by runCampaign.
-	// cancelRequested records that a DELETE asked for it, so the engine's
-	// normal-cancellation exit maps to canceled rather than done.
-	cancel          func()
-	cancelRequested bool
-	// reqID is the submitting HTTP request's ID ("" for direct
-	// SubmitCampaign calls); immutable after creation.
-	reqID string
 }
 
-// log returns the base logger with the campaign's identity attached.
-func (cr *CampaignRun) log(base *slog.Logger) *slog.Logger {
-	l := base.With("campaign", cr.ID)
-	if cr.reqID != "" {
-		l = l.With("req", cr.reqID)
-	}
-	return l
-}
+func (cr *CampaignRun) base() *task { return cr.task }
 
-func newCampaignRun(spec CampaignSpec) *CampaignRun {
-	return &CampaignRun{
-		ID:      newID(),
-		Spec:    spec,
-		changed: make(chan struct{}),
-		state:   JobQueued,
-		created: time.Now(),
-	}
-}
-
-// touch wakes every watcher. Callers hold cr.mu.
-func (cr *CampaignRun) touch() {
-	cr.seq++
-	close(cr.changed)
-	cr.changed = make(chan struct{})
-}
+func (cr *CampaignRun) snapshot() any { return cr.status() }
 
 // status snapshots the campaign.
 func (cr *CampaignRun) status() CampaignStatus {
@@ -144,19 +100,15 @@ func (cr *CampaignRun) statusLocked() CampaignStatus {
 	st := CampaignStatus{
 		ID:        cr.ID,
 		State:     cr.state,
-		Phase:     cr.phase,
 		Oracle:    cr.oracle,
 		GrammarID: cr.grammarID,
 		Created:   cr.created,
+		Started:   timePtr(cr.started),
+		Finished:  timePtr(cr.finished),
 		Error:     cr.err,
 	}
-	if !cr.started.IsZero() {
-		t := cr.started
-		st.Started = &t
-	}
-	if !cr.finished.IsZero() {
-		t := cr.finished
-		st.Finished = &t
+	if !cr.state.terminal() {
+		st.Phase = cr.phase
 	}
 	if cr.hasReport {
 		r := cr.report
@@ -167,148 +119,55 @@ func (cr *CampaignRun) statusLocked() CampaignStatus {
 
 // watch returns the current snapshot, the advanced cursor, and a channel
 // closed on the next mutation; fresh reports whether the snapshot is newer
-// than the caller's cursor.
+// than the caller's cursor (a zero cursor always is).
 func (cr *CampaignRun) watch(cursor int) (st CampaignStatus, next int, fresh bool, changed <-chan struct{}) {
 	cr.mu.Lock()
 	defer cr.mu.Unlock()
-	return cr.statusLocked(), cr.seq, cr.seq > cursor, cr.changed
+	return cr.statusLocked(), cr.version + 1, cr.version >= cursor, cr.changed
 }
 
 // campaignRecord is the JSON persisted per campaign under
 // <DataDir>/campaigns/<id>.json: the status plus the spec, written at
-// every checkpoint and at completion so reports survive daemon restarts
-// (a record still marked running on load belongs to a campaign the
-// previous incarnation never finished; it is surfaced as failed with its
-// last checkpoint intact).
+// every checkpoint and at completion so reports survive daemon restarts.
 type campaignRecord struct {
-	ID        string           `json:"id"`
-	State     JobState         `json:"state"`
+	taskRecord
 	Oracle    string           `json:"oracle"`
 	GrammarID string           `json:"grammar_id,omitempty"`
-	Created   time.Time        `json:"created_at"`
-	Started   time.Time        `json:"started_at,omitempty"`
-	Finished  time.Time        `json:"finished_at,omitempty"`
-	Error     string           `json:"error,omitempty"`
 	Spec      CampaignSpec     `json:"spec"`
 	Report    *campaign.Report `json:"report,omitempty"`
 }
 
-// campaignsDir is the per-store subdirectory holding campaign records.
-func (s *Server) campaignsDir() string { return filepath.Join(s.store.Dir(), "campaigns") }
-
-// persistCampaign writes the campaign's current record atomically; failures
-// are logged, not fatal (the in-memory run stays authoritative).
-func (s *Server) persistCampaign(cr *CampaignRun) {
-	cr.mu.Lock()
-	rec := campaignRecord{
-		ID:        cr.ID,
-		State:     cr.state,
-		Oracle:    cr.oracle,
-		GrammarID: cr.grammarID,
-		Created:   cr.created,
-		Started:   cr.started,
-		Finished:  cr.finished,
-		Error:     cr.err,
-		Spec:      cr.Spec,
-	}
+func (cr *CampaignRun) recordLocked() any {
+	rec := campaignRecord{taskRecord: cr.task.recordLocked(), Oracle: cr.oracle, GrammarID: cr.grammarID, Spec: cr.Spec}
 	if cr.hasReport {
 		r := cr.report
 		rec.Report = &r
 	}
-	cr.mu.Unlock()
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		s.log.Warn("campaign record marshal failed", "campaign", cr.ID, "err", err)
-		return
-	}
-	dir := s.campaignsDir()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		s.log.Warn("campaigns dir create failed", "campaign", cr.ID, "err", err)
-		return
-	}
-	if err := writeAtomic(filepath.Join(dir, cr.ID+".json"), append(data, '\n')); err != nil {
-		s.log.Warn("campaign record persist failed", "campaign", cr.ID, "err", err)
-	}
+	return rec
 }
 
-// loadCampaigns restores persisted campaign records at startup. Records
-// left in a non-terminal state by a previous incarnation are surfaced as
-// failed, keeping their last checkpointed report — the report survives the
-// restart even though the campaign itself did not.
-func (s *Server) loadCampaigns() {
-	entries, err := os.ReadDir(s.campaignsDir())
+// restoreCampaign rebuilds a campaign from its record, last checkpointed
+// report included.
+func restoreCampaign(id string, data []byte) (*CampaignRun, error) {
+	var rec campaignRecord
+	if err := json.Unmarshal(data, &rec); err != nil {
+		return nil, err
+	}
+	b, err := rec.task(id)
 	if err != nil {
-		return // no campaigns yet
+		return nil, err
 	}
-	loaded := 0
-	for _, e := range entries {
-		id, ok := strings.CutSuffix(e.Name(), ".json")
-		if !ok {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(s.campaignsDir(), e.Name()))
-		if err != nil {
-			s.log.Warn("skipping unreadable campaign record", "file", e.Name(), "err", err)
-			continue
-		}
-		var rec campaignRecord
-		if err := json.Unmarshal(data, &rec); err != nil || rec.ID != id {
-			s.log.Warn("skipping bad campaign record", "file", e.Name())
-			continue
-		}
-		cr := &CampaignRun{
-			ID:        rec.ID,
-			Spec:      rec.Spec,
-			changed:   make(chan struct{}),
-			state:     rec.State,
-			oracle:    rec.Oracle,
-			grammarID: rec.GrammarID,
-			err:       rec.Error,
-			created:   rec.Created,
-			started:   rec.Started,
-			finished:  rec.Finished,
-		}
-		if rec.Report != nil {
-			cr.report = *rec.Report
-			cr.hasReport = true
-		}
-		if !cr.state.terminal() {
-			cr.state = JobFailed
-			cr.err = "daemon restarted before the campaign finished"
-			if cr.finished.IsZero() {
-				cr.finished = time.Now()
-			}
-			s.persistCampaign(cr)
-		}
-		// Restored terminal outcomes count toward the lifecycle counters.
-		s.met.campaignFinished(cr.state)
-		s.campaigns[cr.ID] = cr
-		s.campOrder = append(s.campOrder, cr)
-		loaded++
+	cr := &CampaignRun{task: b, Spec: rec.Spec, oracle: rec.Oracle, grammarID: rec.GrammarID}
+	if rec.Report != nil {
+		cr.report, cr.hasReport = *rec.Report, true
 	}
-	if loaded > 0 {
-		// Listings are submission-ordered; restored records sort by their
-		// original creation time.
-		sortCampaignsByCreated(s.campOrder)
-		s.log.Info("campaign records loaded", "count", loaded, "dir", s.campaignsDir())
-	}
-}
-
-// sortCampaignsByCreated orders runs oldest first (stable id tiebreak).
-func sortCampaignsByCreated(runs []*CampaignRun) {
-	sort.Slice(runs, func(i, j int) bool {
-		a, b := runs[i], runs[j]
-		if a.created.Equal(b.created) {
-			return a.ID < b.ID
-		}
-		return a.created.Before(b.created)
-	})
+	return cr, nil
 }
 
 // SubmitCampaign validates a campaign spec, resolves its grammar source and
-// oracle, and enqueues it; campWorkers goroutines drain the queue with
-// Config.MaxCampaigns concurrency. ctx carries request-scoped metadata (the
-// HTTP request ID) only — it does not bound or cancel the campaign.
+// oracle, and enqueues it; Config.MaxCampaigns workers drain the queue.
+// ctx carries request-scoped metadata (the HTTP request ID) only — it does
+// not bound or cancel the campaign.
 func (s *Server) SubmitCampaign(ctx context.Context, spec CampaignSpec) (*CampaignRun, error) {
 	return s.SubmitCampaignWithID(ctx, spec, "")
 }
@@ -318,9 +177,6 @@ func (s *Server) SubmitCampaign(ctx context.Context, spec CampaignSpec) (*Campai
 // id gets a server-generated one; a non-empty id must be in the server
 // format and unused.
 func (s *Server) SubmitCampaignWithID(ctx context.Context, spec CampaignSpec, id string) (*CampaignRun, error) {
-	if id != "" && !IsValidID(id) {
-		return nil, fmt.Errorf("bad assigned id %q", id)
-	}
 	hasGrammar := spec.GrammarID != ""
 	hasOracle := spec.Oracle != nil
 	if hasGrammar == hasOracle {
@@ -359,54 +215,17 @@ func (s *Server) SubmitCampaignWithID(ctx context.Context, spec CampaignSpec, id
 			return nil, fmt.Errorf("diff oracle: %w", err)
 		}
 	}
-	total := 0
-	for _, seed := range spec.Seeds {
-		total += len(seed)
-	}
-	if total > s.cfg.MaxSeedBytes {
-		return nil, fmt.Errorf("seed payload %d bytes exceeds limit %d", total, s.cfg.MaxSeedBytes)
+	if err := s.checkSeedBytes(spec.Seeds); err != nil {
+		return nil, err
 	}
 	if spec.Batch > maxCampaignBatch {
 		return nil, fmt.Errorf("batch %d exceeds limit %d", spec.Batch, maxCampaignBatch)
 	}
 
-	cr := newCampaignRun(spec)
-	if id != "" {
-		cr.ID = id
+	cr := &CampaignRun{task: newTask(ctx, id), Spec: spec, oracle: spec.oracleName(), grammarID: spec.GrammarID}
+	if err := s.campaigns.submit(cr, "oracle", cr.oracle); err != nil {
+		return nil, err
 	}
-	cr.oracle = spec.oracleName()
-	cr.reqID = requestID(ctx)
-	if hasGrammar {
-		cr.grammarID = spec.GrammarID
-	}
-
-	s.mu.Lock()
-	// Mirror Submit: once draining starts, no new campaigns are accepted.
-	if s.draining.Load() {
-		s.mu.Unlock()
-		return nil, errDraining
-	}
-	select {
-	case <-s.done:
-		s.mu.Unlock()
-		return nil, errDraining
-	default:
-	}
-	if _, dup := s.campaigns[cr.ID]; dup {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("%w: campaign %q", errDuplicateID, cr.ID)
-	}
-	select {
-	case s.campQueue <- cr:
-	default:
-		s.mu.Unlock()
-		return nil, errQueueFull
-	}
-	s.campaigns[cr.ID] = cr
-	s.campOrder = append(s.campOrder, cr)
-	s.mu.Unlock()
-	s.met.campaignsSubmitted.Inc()
-	cr.log(s.log).Info("campaign queued", "oracle", cr.oracle)
 	return cr, nil
 }
 
@@ -423,74 +242,22 @@ func (spec CampaignSpec) oracleName() string {
 const maxCampaignBatch = 1024
 
 // Campaign returns a campaign by id.
-func (s *Server) Campaign(id string) (*CampaignRun, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cr, ok := s.campaigns[id]
-	return cr, ok
-}
+func (s *Server) Campaign(id string) (*CampaignRun, bool) { return s.campaigns.get(id) }
 
 // Campaigns lists campaigns in submission order.
-func (s *Server) Campaigns() []*CampaignRun {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]*CampaignRun(nil), s.campOrder...)
-}
+func (s *Server) Campaigns() []*CampaignRun { return s.campaigns.list() }
 
-// campWorker drains the campaign queue; Config.MaxCampaigns workers bound
-// concurrently running campaigns.
-func (s *Server) campWorker() {
-	defer s.wg.Done()
-	for cr := range s.campQueue {
-		s.runCampaign(cr)
-	}
-}
+// CancelCampaign cancels a campaign by id: a queued campaign flips to
+// canceled immediately (the scheduler will skip it), a running one has its
+// context cancelled — the engine finalizes its report and the run lands in
+// canceled. Cancelling a campaign already in a terminal state reports
+// errAlreadyTerminal.
+func (s *Server) CancelCampaign(id string) (*CampaignRun, error) { return s.campaigns.cancel(id) }
 
 // runCampaign resolves the grammar (learning one first when the spec asks
 // for it), builds the engine, and drives it to completion, persisting the
 // record at every checkpoint.
 func (s *Server) runCampaign(cr *CampaignRun) {
-	setState := func(state JobState, phase string) {
-		cr.mu.Lock()
-		// Never resurrect a terminal state: a DELETE racing the worker's
-		// setup has already recorded (and persisted) canceled.
-		if cr.state.terminal() {
-			cr.mu.Unlock()
-			return
-		}
-		cr.state = state
-		cr.phase = phase
-		if state == JobRunning && cr.started.IsZero() {
-			cr.started = time.Now()
-		}
-		cr.touch()
-		cr.mu.Unlock()
-	}
-	fail := func(err error) {
-		cr.mu.Lock()
-		cr.state = JobFailed
-		cr.phase = ""
-		cr.err = err.Error()
-		cr.finished = time.Now()
-		cr.touch()
-		cr.mu.Unlock()
-		s.met.campaignFinished(JobFailed)
-		s.persistCampaign(cr)
-		cr.log(s.log).Warn("campaign failed", "err", err)
-	}
-
-	// A campaign popped from the queue while Close drains it must not
-	// start fresh work.
-	if s.baseCtx.Err() != nil {
-		fail(fmt.Errorf("server shut down before the campaign ran"))
-		return
-	}
-	// A campaign cancelled while queued never starts.
-	cr.mu.Lock()
-	if cr.state.terminal() {
-		cr.mu.Unlock()
-		return
-	}
 	// The campaign context nests under baseCtx (shutdown still ends every
 	// campaign) and adds a per-run cancel for DELETE /v1/campaigns/{id};
 	// the learn phase and the waves both run under it. The hard deadline
@@ -500,124 +267,36 @@ func (s *Server) runCampaign(cr *CampaignRun) {
 	// hold a campaign slot past the server's bounds.
 	hard := s.cfg.MaxJobDuration + s.cfg.MaxCampaignDuration + jobDeadlineGrace
 	ctx, cancel := context.WithTimeout(s.baseCtx, hard)
-	cr.cancel = cancel
-	cr.mu.Unlock()
 	defer cancel()
-
-	canceled := func() bool {
-		cr.mu.Lock()
-		defer cr.mu.Unlock()
-		return cr.cancelRequested
-	}
-	spec := cr.Spec
-	conf, err := s.campaignConfig(ctx, cr, spec, setState)
-	if err != nil {
-		if canceled() {
-			s.finishCampaignCanceled(cr)
-			return
-		}
-		fail(err)
+	if !cr.begin(cancel) {
 		return
 	}
-	eng, err := campaign.New(conf)
+	conf, err := s.campaignConfig(ctx, cr)
+	var eng *campaign.Campaign
+	if err == nil {
+		eng, err = campaign.New(conf)
+	}
 	if err != nil {
-		fail(err)
+		s.campaigns.finish(cr, err)
 		return
 	}
-	setState(JobRunning, "fuzz")
-	s.persistCampaign(cr)
-	cr.log(s.log).Info("campaign running",
+	s.campaigns.checkpoint(cr, func() { cr.phase = "fuzz" })
+	s.campaigns.logger(cr).Info("campaign running",
 		"oracle", cr.oracle, "duration", conf.Duration, "workers", conf.Workers)
-	rep, err := eng.Run(ctx)
-	if err != nil && !canceled() {
-		fail(err)
+	rep, err := eng.Run(ctx) // the final report comes back on every path
+	cr.mu.Lock()
+	cr.report, cr.hasReport = *rep, true
+	cr.mu.Unlock()
+	if err != nil {
+		s.campaigns.finish(cr, err)
 		return
 	}
-	cr.mu.Lock()
-	if cr.cancelRequested {
-		cr.state = JobCanceled
-		cr.err = "canceled by request"
-	} else {
-		cr.state = JobDone
+	if cr.canceledByRequest() {
+		// The engine ends a cancelled run normally, report finalized.
+		s.campaigns.finish(cr, context.Canceled)
+		return
 	}
-	cr.phase = ""
-	cr.finished = time.Now()
-	if rep != nil {
-		cr.report = *rep
-		cr.hasReport = true
-	}
-	state := cr.state
-	cr.touch()
-	cr.mu.Unlock()
-	s.met.campaignFinished(state)
-	s.persistCampaign(cr)
-	if state == JobCanceled {
-		cr.log(s.log).Info("campaign canceled")
-	} else {
-		cr.log(s.log).Info("campaign done",
-			"inputs", rep.Inputs, "interesting", rep.Interesting())
-	}
-}
-
-// finishCampaignCanceled moves a campaign whose learn phase was aborted by
-// a DELETE into the canceled state.
-func (s *Server) finishCampaignCanceled(cr *CampaignRun) {
-	cr.mu.Lock()
-	cr.state = JobCanceled
-	cr.phase = ""
-	cr.err = "canceled by request"
-	cr.finished = time.Now()
-	cr.touch()
-	cr.mu.Unlock()
-	s.met.campaignFinished(JobCanceled)
-	s.persistCampaign(cr)
-	cr.log(s.log).Info("campaign canceled")
-}
-
-// CancelCampaign cancels a campaign by id: a queued campaign flips to
-// canceled immediately (the scheduler will skip it), a running one has its
-// context cancelled — the engine finalizes its report and the run lands in
-// canceled. Cancelling a campaign already in a terminal state reports
-// errAlreadyTerminal.
-func (s *Server) CancelCampaign(id string) (*CampaignRun, error) {
-	cr, ok := s.Campaign(id)
-	if !ok {
-		return nil, fmt.Errorf("%w: no campaign %q", errNotFound, id)
-	}
-	cr.mu.Lock()
-	switch {
-	case cr.state.terminal():
-		cr.mu.Unlock()
-		return cr, errAlreadyTerminal
-	case cr.state == JobQueued:
-		cr.state = JobCanceled
-		cr.err = "canceled by request"
-		cr.finished = time.Now()
-		cr.cancelRequested = true
-		// A worker may have popped this campaign already and be setting it
-		// up; setState refuses to resurrect a terminal state, and when the
-		// run context exists, cancelling it aborts the setup (including a
-		// learn phase) within one oracle wave.
-		cancel := cr.cancel
-		cr.touch()
-		cr.mu.Unlock()
-		if cancel != nil {
-			cancel()
-		}
-		s.met.campaignFinished(JobCanceled)
-		s.persistCampaign(cr)
-		cr.log(s.log).Info("campaign canceled while queued")
-		return cr, nil
-	default: // running (learn or fuzz phase)
-		cr.cancelRequested = true
-		cancel := cr.cancel
-		cr.mu.Unlock()
-		if cancel != nil {
-			cancel()
-		}
-		cr.log(s.log).Info("campaign cancellation requested")
-		return cr, nil
-	}
+	s.campaigns.finish(cr, nil, "inputs", rep.Inputs, "interesting", rep.Interesting())
 }
 
 // campaignConfig assembles the engine config for a run: grammar + seeds +
@@ -625,8 +304,9 @@ func (s *Server) CancelCampaign(id string) (*CampaignRun, error) {
 // DELETE aborts even the learn phase), server-side clamps on
 // duration/workers/batch, and a progress hook that feeds watchers and the
 // persisted record.
-func (s *Server) campaignConfig(ctx context.Context, cr *CampaignRun, spec CampaignSpec, setState func(JobState, string)) (campaign.Config, error) {
+func (s *Server) campaignConfig(ctx context.Context, cr *CampaignRun) (campaign.Config, error) {
 	var conf campaign.Config
+	spec := cr.Spec
 	workers := spec.Workers
 	if workers <= 0 {
 		workers = s.cfg.DefaultWorkers
@@ -657,7 +337,7 @@ func (s *Server) campaignConfig(ctx context.Context, cr *CampaignRun, spec Campa
 		// Learn a grammar first, exactly as a learn job would, then fuzz
 		// with it. The grammar is stored under the campaign's id so it is
 		// listable and generate-able like any other.
-		setState(JobRunning, "learn")
+		cr.update(func() { cr.phase = "learn" })
 		o, defaults, err := s.buildResilientOracle(*spec.Oracle, workers, s.cfg.resolveRetries(spec.Retries), s.met.resilientCampaign)
 		if err != nil {
 			return conf, err
@@ -673,23 +353,10 @@ func (s *Server) campaignConfig(ctx context.Context, cr *CampaignRun, spec Campa
 		if err != nil {
 			return conf, err
 		}
-		meta := GrammarMeta{
-			ID:        cr.ID,
-			Oracle:    spec.Oracle.String(),
-			Spec:      *spec.Oracle,
-			Seeds:     seeds,
-			CreatedAt: time.Now().UTC(),
-			Queries:   res.Stats.OracleQueries,
-			Seconds:   res.Stats.Duration.Seconds(),
-			TimedOut:  res.Stats.TimedOut,
-		}
-		if err := s.store.Put(res.Grammar, meta); err != nil {
+		if err := s.putGrammar(cr.ID, *spec.Oracle, seeds, res); err != nil {
 			return conf, err
 		}
-		cr.mu.Lock()
-		cr.grammarID = cr.ID
-		cr.touch()
-		cr.mu.Unlock()
+		cr.update(func() { cr.grammarID = cr.ID })
 		conf.Grammar = res.Grammar
 		conf.Seeds = seeds
 		conf.Oracle = o
@@ -721,20 +388,15 @@ func (s *Server) campaignConfig(ctx context.Context, cr *CampaignRun, spec Campa
 		conf.RefreshTimeout = s.cfg.MaxJobDuration
 	}
 	conf.ReportEvery = campaignReportEvery
-	engineLog := cr.log(s.log)
+	engineLog := s.campaigns.logger(cr)
 	conf.Logf = func(format string, args ...any) {
 		engineLog.Debug(fmt.Sprintf(format, args...))
 	}
 	conf.QueryHist = s.met.oracleCampaign
+	// Checkpoint persistence rides the progress cadence, so a crashed or
+	// restarted daemon keeps the latest report.
 	conf.Progress = func(rep campaign.Report) {
-		cr.mu.Lock()
-		cr.report = rep
-		cr.hasReport = true
-		cr.touch()
-		cr.mu.Unlock()
-		// Checkpoint persistence rides the progress cadence, so a crashed
-		// or restarted daemon keeps the latest report.
-		s.persistCampaign(cr)
+		s.campaigns.checkpoint(cr, func() { cr.report, cr.hasReport = rep, true })
 	}
 	return conf, nil
 }

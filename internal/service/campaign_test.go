@@ -2,6 +2,7 @@ package service
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -271,5 +272,41 @@ func TestCampaignShutdownPersistsReport(t *testing.T) {
 	}
 	if rst.State != JobDone && rst.State != JobFailed {
 		t.Fatalf("restored campaign in non-terminal state %q", rst.State)
+	}
+}
+
+// TestCanceledQueuedCampaignSurvivesShutdown pins the worker step's order:
+// a campaign cancelled while queued and popped only after Close cancelled
+// the base context stays canceled, and is counted once, as canceled.
+func TestCanceledQueuedCampaignSurvivesShutdown(t *testing.T) {
+	srv, err := New(Config{DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	putGrepGrammar(t, srv, "gg")
+	// Install the campaign directly so no worker can pop it; the test plays
+	// the worker that pops it late.
+	cr := &CampaignRun{task: newTask(context.Background(), ""), Spec: CampaignSpec{GrammarID: "gg"}}
+	srv.campaigns.mu.Lock()
+	srv.campaigns.byID[cr.ID] = cr
+	srv.campaigns.order = append(srv.campaigns.order, cr)
+	srv.campaigns.mu.Unlock()
+
+	if _, err := srv.CancelCampaign(cr.ID); err != nil {
+		t.Fatal(err)
+	}
+	srv.cancelBase()
+	srv.campaigns.step(cr)
+
+	if st := cr.status(); st.State != JobCanceled || st.Error != "canceled by request" {
+		t.Fatalf("campaign after late pop: state %q error %q, want canceled", st.State, st.Error)
+	}
+	snap := srv.Registry().Snapshot()
+	if got := snapValue(snap, "glade_campaigns_failed_total"); got != 0 {
+		t.Errorf("glade_campaigns_failed_total = %v, want 0", got)
+	}
+	if got := snapValue(snap, "glade_campaigns_canceled_total"); got != 1 {
+		t.Errorf("glade_campaigns_canceled_total = %v, want 1", got)
 	}
 }

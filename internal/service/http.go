@@ -27,18 +27,18 @@ func (s *Server) routes() http.Handler {
 	// traffic, so load balancers probe /readyz and liveness probes
 	// /healthz.
 	mux.HandleFunc("GET /readyz", s.handleReady)
-	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
-	mux.HandleFunc("GET /v1/jobs", s.handleListJobs)
+	mux.HandleFunc("POST /v1/jobs", handleSubmit("job", s.SubmitWithID))
+	mux.HandleFunc("GET /v1/jobs", handleList(s.jobs))
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancelJob)
+	mux.HandleFunc("DELETE /v1/jobs/{id}", handleCancel(s.jobs))
 	mux.HandleFunc("GET /v1/grammars", s.handleListGrammars)
 	mux.HandleFunc("GET /v1/grammars/{id}", s.handleGrammar)
 	mux.HandleFunc("POST /v1/grammars/{id}/generate", s.handleGenerate)
 	mux.HandleFunc("POST /v1/grammars/{id}/check", s.handleCheck)
-	mux.HandleFunc("POST /v1/campaigns", s.handleSubmitCampaign)
-	mux.HandleFunc("GET /v1/campaigns", s.handleListCampaigns)
+	mux.HandleFunc("POST /v1/campaigns", handleSubmit("campaign", s.SubmitCampaignWithID))
+	mux.HandleFunc("GET /v1/campaigns", handleList(s.campaigns))
 	mux.HandleFunc("GET /v1/campaigns/{id}", s.handleCampaign)
-	mux.HandleFunc("DELETE /v1/campaigns/{id}", s.handleCancelCampaign)
+	mux.HandleFunc("DELETE /v1/campaigns/{id}", handleCancel(s.campaigns))
 	mux.HandleFunc("GET /v1/oracles", s.handleListOracles)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.Handle("GET /metrics", s.reg.Handler())
@@ -90,37 +90,95 @@ func (s *Server) handleListOracles(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleCancelJob cancels a learn job: 200 with the snapshot once the
-// cancellation is recorded (queued jobs flip immediately; running jobs
-// stop within one oracle wave), 404 for unknown ids, 409 when the job
-// already reached a terminal state.
-func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
-	j, err := s.CancelJob(r.PathValue("id"))
-	if err != nil {
-		code := http.StatusConflict
-		if errors.Is(err, errNotFound) {
-			code = http.StatusNotFound
+// handleCancel cancels a job or campaign: 200 with the snapshot once the
+// cancellation is recorded (queued tasks flip immediately; a running learn
+// stops within one oracle wave, a running campaign finalizes and persists
+// its report first), 404 for unknown ids, 409 when the task already
+// reached a terminal state.
+func handleCancel[T tasker](l *ledger[T]) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		t, err := l.cancel(r.PathValue("id"))
+		if err != nil {
+			code := http.StatusConflict
+			if errors.Is(err, errNotFound) {
+				code = http.StatusNotFound
+			}
+			writeError(w, code, "%v", err)
+			return
 		}
-		writeError(w, code, "%v", err)
-		return
+		writeJSON(w, http.StatusOK, t.snapshot())
 	}
-	writeJSON(w, http.StatusOK, j.status(false))
 }
 
-// handleCancelCampaign cancels a campaign, with the same status mapping as
-// handleCancelJob. The engine finalizes and persists its report before the
-// run lands in the canceled state.
-func (s *Server) handleCancelCampaign(w http.ResponseWriter, r *http.Request) {
-	cr, err := s.CancelCampaign(r.PathValue("id"))
-	if err != nil {
-		code := http.StatusConflict
-		if errors.Is(err, errNotFound) {
-			code = http.StatusNotFound
+// handleSubmit decodes a job or campaign spec and submits it under the id
+// a cluster router assigned, if any.
+func handleSubmit[S any, T tasker](kind string, submit func(context.Context, S, string) (T, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var spec S
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&spec); err != nil {
+			writeError(w, http.StatusBadRequest, "bad %s spec: %v", kind, err)
+			return
 		}
-		writeError(w, code, "%v", err)
-		return
+		t, err := submit(r.Context(), spec, r.Header.Get(AssignedIDHeader))
+		switch {
+		case err == nil:
+			writeJSON(w, http.StatusAccepted, t.snapshot())
+		case errors.Is(err, errQueueFull):
+			writeUnavailable(w, http.StatusServiceUnavailable, retryAfterSaturated, "%v", err)
+		case errors.Is(err, errDraining):
+			writeUnavailable(w, http.StatusServiceUnavailable, retryAfterDraining, "%v", err)
+		case errors.Is(err, errExecDisabled):
+			writeError(w, http.StatusForbidden, "%v", err)
+		case errors.Is(err, errNotFound):
+			writeError(w, http.StatusNotFound, "%v", err)
+		case errors.Is(err, errDuplicateID):
+			writeError(w, http.StatusConflict, "%v", err)
+		default:
+			writeError(w, http.StatusBadRequest, "%v", err)
+		}
 	}
-	writeJSON(w, http.StatusOK, cr.status())
+}
+
+// handleList lists a ledger's tasks in submission order under the key
+// "jobs" or "campaigns".
+func handleList[T tasker](l *ledger[T]) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		tasks := l.list()
+		out := make([]any, len(tasks))
+		for i, t := range tasks {
+			out[i] = t.snapshot()
+		}
+		writeJSON(w, http.StatusOK, map[string]any{l.name + "s": out})
+	}
+}
+
+// watchNDJSON streams a task as NDJSON: poll returns the lines due since
+// its last call, whether the task is terminal (the stream then ends), and
+// a channel closed on the task's next mutation.
+func watchNDJSON(w http.ResponseWriter, r *http.Request, poll func() (lines []any, done bool, changed <-chan struct{})) {
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	flusher, _ := w.(http.Flusher)
+	enc := json.NewEncoder(w)
+	for {
+		lines, done, changed := poll()
+		for _, line := range lines {
+			_ = enc.Encode(line)
+		}
+		if flusher != nil {
+			flusher.Flush()
+		}
+		if done {
+			return
+		}
+		select {
+		case <-changed:
+		case <-r.Context().Done():
+			return
+		}
+	}
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -162,49 +220,12 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"ready": true})
 }
 
-// handleSubmit accepts a JobSpec and enqueues the learn job.
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "bad job spec: %v", err)
-		return
-	}
-	j, err := s.SubmitWithID(r.Context(), spec, r.Header.Get(AssignedIDHeader))
-	if err != nil {
-		switch {
-		case errors.Is(err, errQueueFull):
-			writeUnavailable(w, http.StatusServiceUnavailable, retryAfterSaturated, "%v", err)
-		case errors.Is(err, errDraining):
-			writeUnavailable(w, http.StatusServiceUnavailable, retryAfterDraining, "%v", err)
-		case errors.Is(err, errExecDisabled):
-			writeError(w, http.StatusForbidden, "%v", err)
-		case errors.Is(err, errDuplicateID):
-			writeError(w, http.StatusConflict, "%v", err)
-		default:
-			writeError(w, http.StatusBadRequest, "%v", err)
-		}
-		return
-	}
-	writeJSON(w, http.StatusAccepted, j.status(false))
-}
-
-func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
-	jobs := s.Jobs()
-	out := make([]JobStatus, len(jobs))
-	for i, j := range jobs {
-		out[i] = j.status(false)
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": out})
-}
-
 // handleJob serves one job: a JSON snapshot by default (?events=1 includes
 // the buffered progress stream), or — with ?watch=1 — an NDJSON stream of
 // progress events as they happen, terminated by the final job snapshot
 // once the job reaches a terminal state.
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.Job(r.PathValue("id"))
+	j, ok := s.jobs.get(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
 		return
@@ -214,33 +235,19 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
 	cursor := 0
-	for {
+	watchNDJSON(w, r, func() ([]any, bool, <-chan struct{}) {
 		fresh, next, state, changed := j.watch(cursor)
 		cursor = next
+		lines := make([]any, 0, len(fresh)+1)
 		for _, ev := range fresh {
-			_ = enc.Encode(ev)
+			lines = append(lines, ev)
 		}
 		if state.terminal() {
-			_ = enc.Encode(j.status(false))
-			if flusher != nil {
-				flusher.Flush()
-			}
-			return
+			lines = append(lines, j.status(false))
 		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		select {
-		case <-changed:
-		case <-r.Context().Done():
-			return
-		}
-	}
+		return lines, state.terminal(), changed
+	})
 }
 
 func (s *Server) handleListGrammars(w http.ResponseWriter, r *http.Request) {
@@ -379,51 +386,12 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleSubmitCampaign accepts a CampaignSpec and enqueues the campaign.
-func (s *Server) handleSubmitCampaign(w http.ResponseWriter, r *http.Request) {
-	var spec CampaignSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "bad campaign spec: %v", err)
-		return
-	}
-	cr, err := s.SubmitCampaignWithID(r.Context(), spec, r.Header.Get(AssignedIDHeader))
-	if err != nil {
-		switch {
-		case errors.Is(err, errQueueFull):
-			writeUnavailable(w, http.StatusServiceUnavailable, retryAfterSaturated, "%v", err)
-		case errors.Is(err, errDraining):
-			writeUnavailable(w, http.StatusServiceUnavailable, retryAfterDraining, "%v", err)
-		case errors.Is(err, errExecDisabled):
-			writeError(w, http.StatusForbidden, "%v", err)
-		case errors.Is(err, errNotFound):
-			writeError(w, http.StatusNotFound, "%v", err)
-		case errors.Is(err, errDuplicateID):
-			writeError(w, http.StatusConflict, "%v", err)
-		default:
-			writeError(w, http.StatusBadRequest, "%v", err)
-		}
-		return
-	}
-	writeJSON(w, http.StatusAccepted, cr.status())
-}
-
-func (s *Server) handleListCampaigns(w http.ResponseWriter, r *http.Request) {
-	runs := s.Campaigns()
-	out := make([]CampaignStatus, len(runs))
-	for i, cr := range runs {
-		out[i] = cr.status()
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"campaigns": out})
-}
-
 // handleCampaign serves one campaign: a JSON snapshot (with the latest
 // checkpointed report) by default, or — with ?watch=1 — an NDJSON stream
 // of snapshots at the checkpoint cadence, terminated by the final snapshot
 // once the campaign reaches a terminal state.
 func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
-	cr, ok := s.Campaign(r.PathValue("id"))
+	cr, ok := s.campaigns.get(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, "no campaign %q", r.PathValue("id"))
 		return
@@ -433,29 +401,16 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	cursor := -1 // emit the current snapshot immediately
-	for {
+	cursor := 0
+	watchNDJSON(w, r, func() ([]any, bool, <-chan struct{}) {
 		st, next, fresh, changed := cr.watch(cursor)
 		cursor = next
+		var lines []any
 		if fresh {
-			_ = enc.Encode(st)
-			if flusher != nil {
-				flusher.Flush()
-			}
+			lines = append(lines, st)
 		}
-		if st.State.terminal() {
-			return
-		}
-		select {
-		case <-changed:
-		case <-r.Context().Done():
-			return
-		}
-	}
+		return lines, st.State.terminal(), changed
+	})
 }
 
 // jobStats is one job's row in /v1/stats.
@@ -493,11 +448,11 @@ type jobStats struct {
 // once — under their historical keys; the raw snapshot rides along under
 // "telemetry".
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	jobs := s.Jobs()
+	jobs := s.jobs.list()
 	rows := make([]jobStats, 0, len(jobs))
 	for _, j := range jobs {
 		st := j.status(false)
-		qs, _ := j.queryStats()
+		qs := j.queryStats()
 		row := jobStats{ID: st.ID, State: st.State, Oracle: st.Oracle}
 		if st.Progress != nil {
 			row.ProgressPhase = st.Progress.Phase
@@ -534,7 +489,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"done":                 int(snapValue(snap, "glade_jobs_done_total")),
 		"failed":               int(snapValue(snap, "glade_jobs_failed_total")),
 		"total_queries":        int(snapValue(snap, "glade_oracle_queries_total")),
-		"campaigns":            len(s.Campaigns()),
+		"campaigns":            len(s.campaigns.list()),
 		"campaigns_running":    int(snapValue(snap, "glade_campaigns_running")),
 		"campaign_inputs":      int(snapValue(snap, "glade_campaign_inputs")),
 		"campaign_interesting": int(snapValue(snap, "glade_campaign_interesting")),

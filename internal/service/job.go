@@ -1,11 +1,10 @@
 package service
 
 import (
-	"crypto/rand"
-	"encoding/hex"
-	"log/slog"
+	"context"
+	"encoding/json"
+	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"glade/internal/bytesets"
@@ -105,98 +104,85 @@ func (spec JobSpec) resolveOptions(cfg Config, seeds []string) core.Options {
 	return opts
 }
 
-// JobState is the lifecycle of a learn job.
-type JobState string
-
-const (
-	JobQueued   JobState = "queued"   // accepted, waiting for a scheduler slot
-	JobRunning  JobState = "running"  // learning (or, for campaigns, fuzzing)
-	JobDone     JobState = "done"     // finished; the grammar or report is available
-	JobFailed   JobState = "failed"   // finished unsuccessfully; Error says why
-	JobCanceled JobState = "canceled" // cancelled by DELETE before finishing; distinct from failed
-)
-
-// terminal reports whether the state is final (no further transitions).
-func (s JobState) terminal() bool {
-	return s == JobDone || s == JobFailed || s == JobCanceled
-}
-
-// Job is one learn job owned by the Manager. All mutable fields are
-// guarded by mu; changed is closed and replaced on every mutation so
-// watchers can block for "anything new" without polling.
+// Job is one learn job. Its lifecycle lives in the embedded task; the
+// fields below are guarded by the task's mu.
 type Job struct {
-	ID   string
+	*task
 	Spec JobSpec
 
-	mu      sync.Mutex
-	changed chan struct{}
-	state   JobState
-	// cancel aborts the running learn's context; set by run() for the
-	// duration of the learn. cancelRequested records that a DELETE asked
-	// for cancellation, so finish() maps the resulting context error to
-	// JobCanceled rather than JobFailed.
-	cancel          func()
-	cancelRequested bool
 	// events buffers progress for snapshots and watchers. Slots
 	// [0, len-1) hold the first events verbatim; once seq outgrows the
 	// buffer the tail slot is overwritten with the newest event, so the
 	// buffer is "head of the stream + latest". seq counts every event
 	// ever emitted and is the watcher cursor space.
-	events   []core.Progress
-	seq      int
-	err      string
-	created  time.Time
-	started  time.Time
-	finished time.Time
-	stats    core.Stats
-	queries  metrics.QueryStats
+	events  []core.Progress
+	seq     int
+	stats   core.Stats
+	queries metrics.QueryStats
 	// spans are the learner's phase spans (core.Options.Tracer), recorded
 	// once the learn returns and persisted with the terminal record.
 	spans []telemetry.Span
-	// seeds are the resolved seed inputs (spec seeds or builtin defaults);
-	// dropped once the job reaches a terminal state (the store keeps them
-	// in GrammarMeta), leaving seedCount for snapshots.
-	seeds     []string
+	// seedCount is the number of resolved seed inputs (spec seeds or the
+	// oracle's bundled defaults).
 	seedCount int
-	// reqID is the submitting HTTP request's ID ("" for direct Submit
-	// calls); immutable after creation, threaded through lifecycle logs.
-	reqID string
 }
 
-// log returns the base logger with the job's identity attached, so every
-// lifecycle line carries the job ID and — when the job arrived over HTTP —
-// the submitting request's ID.
-func (j *Job) log(base *slog.Logger) *slog.Logger {
-	l := base.With("job", j.ID)
-	if j.reqID != "" {
-		l = l.With("req", j.reqID)
+func (j *Job) base() *task { return j.task }
+
+func (j *Job) snapshot() any { return j.status(false) }
+
+// jobRecord is the JSON persisted per terminal job under
+// <DataDir>/jobs/<id>.json, so clients polling across a daemon restart
+// still see what happened.
+type jobRecord struct {
+	taskRecord
+	Oracle string      `json:"oracle"`
+	Seeds  int         `json:"seeds"`
+	Stats  *core.Stats `json:"stats,omitempty"`
+	// Spans is the learner's phase trace, kept with the record so restored
+	// jobs still answer span queries after a restart.
+	Spans []telemetry.Span `json:"spans,omitempty"`
+}
+
+func (j *Job) recordLocked() any {
+	rec := jobRecord{taskRecord: j.task.recordLocked(), Oracle: j.Spec.Oracle.String(), Seeds: j.seedCount, Spans: j.spans}
+	if j.state == JobDone {
+		st := j.stats
+		rec.Stats = &st
 	}
-	return l
+	return rec
 }
 
-func newJob(spec JobSpec) *Job {
-	return &Job{
-		ID:      newID(),
-		Spec:    spec,
-		changed: make(chan struct{}),
-		state:   JobQueued,
-		created: time.Now(),
+// restoreJob rebuilds a job from its record. The oracle spec is
+// display-only: restored jobs are terminal and never rebuild their oracle.
+func (s *Server) restoreJob(id string, data []byte) (*Job, error) {
+	var rec jobRecord
+	if err := json.Unmarshal(data, &rec); err != nil {
+		return nil, err
 	}
-}
-
-// newID returns a 12-hex-digit random identifier.
-func newID() string {
-	var b [6]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		panic("service: crypto/rand failed: " + err.Error())
+	b, err := rec.task(id)
+	if err != nil {
+		return nil, err
 	}
-	return hex.EncodeToString(b[:])
+	j := &Job{task: b, seedCount: rec.Seeds, spans: rec.Spans}
+	j.Spec.Oracle = specFromName(rec.Oracle)
+	if rec.Stats != nil {
+		j.stats = *rec.Stats
+		s.met.oracleQueries.Add(uint64(rec.Stats.OracleQueries))
+	}
+	return j, nil
 }
 
-// touch wakes every watcher. Callers hold j.mu.
-func (j *Job) touch() {
-	close(j.changed)
-	j.changed = make(chan struct{})
+// specFromName reconstructs a display-only oracle.Spec from the persisted
+// "kind:detail" string (oracle.ParseSpec inverts Spec.String), so restored
+// jobs render the same oracle column. The spec is not guaranteed runnable
+// (exec argv quoting is lossy).
+func specFromName(name string) oracle.Spec {
+	sp, err := oracle.ParseSpec(name)
+	if err != nil {
+		return oracle.Spec{}
+	}
+	return sp
 }
 
 // appendEvent records one learner progress event. maxEvents bounds memory:
@@ -207,15 +193,14 @@ func (j *Job) touch() {
 const maxEvents = 512
 
 func (j *Job) appendEvent(p core.Progress) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.seq < maxEvents {
-		j.events = append(j.events, p)
-	} else {
-		j.events[len(j.events)-1] = p
-	}
-	j.seq++
-	j.touch()
+	j.update(func() {
+		if j.seq < maxEvents {
+			j.events = append(j.events, p)
+		} else {
+			j.events[len(j.events)-1] = p
+		}
+		j.seq++
+	})
 }
 
 // JobStatus is the wire form of a job snapshot.
@@ -246,20 +231,14 @@ func (j *Job) status(withEvents bool) JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	st := JobStatus{
-		ID:      j.ID,
-		State:   j.state,
-		Oracle:  j.Spec.Oracle.String(),
-		Seeds:   j.seedCount,
-		Created: j.created,
-		Error:   j.err,
-	}
-	if !j.started.IsZero() {
-		t := j.started
-		st.Started = &t
-	}
-	if !j.finished.IsZero() {
-		t := j.finished
-		st.Finished = &t
+		ID:       j.ID,
+		State:    j.state,
+		Oracle:   j.Spec.Oracle.String(),
+		Seeds:    j.seedCount,
+		Created:  j.created,
+		Started:  timePtr(j.started),
+		Finished: timePtr(j.finished),
+		Error:    j.err,
 	}
 	if n := len(j.events); n > 0 {
 		p := j.events[n-1]
@@ -309,10 +288,10 @@ func (j *Job) watch(cursor int) ([]core.Progress, int, JobState, <-chan struct{}
 }
 
 // queryStats returns the oracle-level timing snapshot recorded for the job.
-func (j *Job) queryStats() (metrics.QueryStats, JobState) {
+func (j *Job) queryStats() metrics.QueryStats {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.queries, j.state
+	return j.queries
 }
 
 // phaseSummary aggregates the job's phase spans: total wall nanoseconds
@@ -328,4 +307,157 @@ func (j *Job) phaseSummary() map[string]int64 {
 		out[sp.Name] += sp.DurationNS
 	}
 	return out
+}
+
+// Submit validates a job spec, resolves its seeds, and enqueues it. ctx is
+// the submitting request's context: its request ID (when the submission
+// came over HTTP) is recorded on the job and threaded through every
+// lifecycle log line; the job's own execution is NOT bounded by ctx.
+func (s *Server) Submit(ctx context.Context, spec JobSpec) (*Job, error) {
+	return s.SubmitWithID(ctx, spec, "")
+}
+
+// SubmitWithID is Submit with a caller-chosen job id — the cluster
+// router's entry point, which mints the id before forwarding so placement
+// is decided before the job exists. An empty id gets a server-generated
+// one; a non-empty id must be in the server format and unused, else the
+// submission fails (errDuplicateID maps to 409 over HTTP).
+func (s *Server) SubmitWithID(ctx context.Context, spec JobSpec, id string) (*Job, error) {
+	if spec.Oracle.IsExec() && !s.cfg.AllowExec {
+		return nil, errExecDisabled
+	}
+	// Resolve the oracle now so an invalid spec fails the submission, not
+	// the job. The resolved oracle is rebuilt in runJob — oracles are cheap
+	// to construct, and building late keeps Job free of live resources.
+	_, defaults, err := buildOracle(spec.Oracle, 1, s.cfg.DefaultOracleTimeout)
+	if err != nil {
+		return nil, err
+	}
+	seeds := spec.Seeds
+	if len(seeds) == 0 {
+		seeds = defaults
+	}
+	if len(seeds) == 0 {
+		return nil, fmt.Errorf("no seeds: pass seeds or use a builtin oracle with bundled seeds")
+	}
+	if err := s.checkSeedBytes(seeds); err != nil {
+		return nil, err
+	}
+	j := &Job{task: newTask(ctx, id), Spec: spec, seedCount: len(seeds)}
+	if err := s.jobs.submit(j, "oracle", spec.Oracle.String(), "seeds", len(seeds)); err != nil {
+		return nil, err
+	}
+	return j, nil
+}
+
+// checkSeedBytes bounds the seed payload of one submission.
+func (s *Server) checkSeedBytes(seeds []string) error {
+	total := 0
+	for _, seed := range seeds {
+		total += len(seed)
+	}
+	if total > s.cfg.MaxSeedBytes {
+		return fmt.Errorf("seed payload %d bytes exceeds limit %d", total, s.cfg.MaxSeedBytes)
+	}
+	return nil
+}
+
+// Job returns a submitted job by id.
+func (s *Server) Job(id string) (*Job, bool) { return s.jobs.get(id) }
+
+// Jobs lists jobs in submission order.
+func (s *Server) Jobs() []*Job { return s.jobs.list() }
+
+// CancelJob cancels a job by id: a queued job flips to canceled
+// immediately (the scheduler will skip it), a running job has its context
+// cancelled and reaches canceled as soon as the learner unwinds — within
+// one oracle wave. Cancelling a job already in a terminal state reports
+// errAlreadyTerminal.
+func (s *Server) CancelJob(id string) (*Job, error) { return s.jobs.cancel(id) }
+
+// jobDeadlineGrace is the headroom the hard per-job context deadline adds
+// over the soft learner timeout. The soft timeout (core.Options.Timeout)
+// finalizes the partial language gracefully; the context deadline is the
+// backstop that aborts a learn whose oracle wedged past the soft deadline.
+const jobDeadlineGrace = 30 * time.Second
+
+// runJob executes one learn job on the core/oracle engine under a per-job
+// context — cancelled by DELETE /v1/jobs/{id} and bounded by
+// context.WithTimeout — and stores the resulting grammar.
+func (s *Server) runJob(j *Job) {
+	// Only exec specs use the seeds here (for their alphabet), and exec
+	// oracles bundle no default seeds, so the spec's seeds are the ones.
+	opts := j.Spec.resolveOptions(s.cfg, j.Spec.Seeds)
+	var reqRetries *int
+	if j.Spec.Options != nil {
+		reqRetries = j.Spec.Options.Retries
+	}
+	o, defaults, err := s.buildResilientOracle(j.Spec.Oracle, opts.Workers, s.cfg.resolveRetries(reqRetries), s.met.resilientJob)
+	if err != nil {
+		// Validated at submission; only reachable if a builtin vanished.
+		s.jobs.finish(j, err)
+		return
+	}
+	seeds := j.Spec.Seeds
+	if len(seeds) == 0 {
+		seeds = defaults
+	}
+	timer := metrics.NewQueryTimer(o)
+	// Per-query latencies mirror into the shared registry's job-source
+	// histogram, and phase spans are recorded for the job record, the API,
+	// and /v1/stats.
+	timer.Mirror(s.met.oracleJob)
+	spans := &telemetry.SpanRecorder{}
+	opts.Progress = j.appendEvent
+	opts.Tracer = spans
+
+	// The job context is deliberately NOT derived from baseCtx: shutdown
+	// waits for running learns (their grammars are worth keeping), while
+	// DELETE cancels exactly one job. The hard deadline enforces the job
+	// bound end to end — exec queries run under this context, so no
+	// client-chosen per-query timeout can outlive it.
+	hard := s.cfg.MaxJobDuration + jobDeadlineGrace
+	if opts.Timeout > 0 && opts.Timeout+jobDeadlineGrace < hard {
+		hard = opts.Timeout + jobDeadlineGrace
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), hard)
+	defer cancel()
+	if !j.begin(cancel) {
+		return
+	}
+	s.jobs.logger(j).Info("job running", "workers", opts.Workers, "timeout", opts.Timeout, "hard_deadline", hard)
+
+	res, err := core.Learn(ctx, seeds, timer, opts)
+	if err == nil {
+		err = s.putGrammar(j.ID, j.Spec.Oracle, seeds, res)
+	}
+	j.mu.Lock()
+	j.queries = timer.Snapshot()
+	j.spans = spans.Spans()
+	if err == nil {
+		j.stats = res.Stats
+	}
+	j.mu.Unlock()
+	if err != nil {
+		s.jobs.finish(j, err)
+		return
+	}
+	if s.jobs.finish(j, nil, "queries", res.Stats.OracleQueries, "seconds", res.Stats.Duration.Seconds()) == JobDone {
+		s.met.oracleQueries.Add(uint64(res.Stats.OracleQueries))
+	}
+}
+
+// putGrammar stores a learned grammar under id with the metadata every
+// learn records: the oracle spec, the seeds, and the learn's cost.
+func (s *Server) putGrammar(id string, sp oracle.Spec, seeds []string, res *core.Result) error {
+	return s.store.Put(res.Grammar, GrammarMeta{
+		ID:        id,
+		Oracle:    sp.String(),
+		Spec:      sp,
+		Seeds:     seeds,
+		CreatedAt: time.Now().UTC(),
+		Queries:   res.Stats.OracleQueries,
+		Seconds:   res.Stats.Duration.Seconds(),
+		TimedOut:  res.Stats.TimedOut,
+	})
 }

@@ -14,7 +14,7 @@ import (
 // checks watchers keep receiving the newest event (sampled) rather than
 // going silent until the terminal snapshot.
 func TestWatchAfterOverflow(t *testing.T) {
-	j := newJob(JobSpec{})
+	j := &Job{task: newTask(context.Background(), "")}
 	total := maxEvents + 300
 	for i := 0; i < total; i++ {
 		j.appendEvent(core.Progress{Phase: "chargen", Checks: i})
@@ -97,32 +97,38 @@ func TestGenerateRespectsContext(t *testing.T) {
 	}
 }
 
-// TestPruneKeepsActiveJobs checks ledger pruning evicts only finished jobs
-// and only beyond the history bound.
+// TestPruneKeepsActiveJobs checks ledger pruning evicts only finished
+// tasks and only beyond the history bound, for both task kinds.
 func TestPruneKeepsActiveJobs(t *testing.T) {
-	s := &Server{jobs: map[string]*Job{}}
-	mk := func(state JobState) *Job {
-		j := newJob(JobSpec{})
-		j.state = state
-		s.jobs[j.ID] = j
-		s.order = append(s.order, j)
-		return j
+	testPruneKeepsActive(t, func(b *task) *Job { return &Job{task: b} })
+	testPruneKeepsActive(t, func(b *task) *CampaignRun { return &CampaignRun{task: b} })
+}
+
+func testPruneKeepsActive[T tasker](t *testing.T, wrap func(*task) T) {
+	l := &ledger[T]{byID: map[string]T{}}
+	mk := func(state JobState) T {
+		b := newTask(context.Background(), "")
+		b.state = state
+		tk := wrap(b)
+		l.byID[b.ID] = tk
+		l.order = append(l.order, tk)
+		return tk
 	}
 	running := mk(JobRunning)
-	for i := 0; i < maxJobHistory+10; i++ {
+	for i := 0; i < maxHistory+10; i++ {
 		mk(JobDone)
 	}
-	s.mu.Lock()
-	s.pruneLocked()
-	s.mu.Unlock()
-	if len(s.order) != maxJobHistory {
-		t.Fatalf("ledger size %d after prune, want %d", len(s.order), maxJobHistory)
+	l.mu.Lock()
+	l.pruneLocked()
+	l.mu.Unlock()
+	if len(l.order) != maxHistory {
+		t.Fatalf("%T ledger size %d after prune, want %d", running, len(l.order), maxHistory)
 	}
-	if _, ok := s.jobs[running.ID]; !ok {
-		t.Fatal("running job was evicted")
+	if _, ok := l.byID[running.base().ID]; !ok {
+		t.Fatalf("running %T was evicted", running)
 	}
-	if s.order[0] != running {
-		t.Fatal("running job lost its slot")
+	if l.order[0].base() != running.base() {
+		t.Fatalf("running %T lost its slot", running)
 	}
 }
 

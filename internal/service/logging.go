@@ -3,70 +3,12 @@ package service
 import (
 	"context"
 	"fmt"
-	"log/slog"
 	"net/http"
 	"runtime/debug"
-	"strings"
 	"time"
 
 	"glade/internal/telemetry"
 )
-
-// resolveLogger picks the server's structured logger: Config.Logger when
-// set; otherwise a bridge that renders records through the legacy
-// Config.Logf at Info level and above; otherwise a discard logger. The
-// server therefore always has a non-nil s.log.
-func (c Config) resolveLogger() *slog.Logger {
-	if c.Logger != nil {
-		return c.Logger
-	}
-	if c.Logf != nil {
-		return slog.New(&logfHandler{logf: c.Logf})
-	}
-	return slog.New(slog.DiscardHandler)
-}
-
-// logfHandler adapts a printf-style sink to slog.Handler so pre-slog
-// embedders (and tests) keep receiving log lines: "msg key=value ...".
-type logfHandler struct {
-	logf  func(format string, args ...any)
-	attrs []slog.Attr
-}
-
-// Enabled keeps the legacy sink at the legacy volume: info and above.
-func (h *logfHandler) Enabled(_ context.Context, level slog.Level) bool {
-	return level >= slog.LevelInfo
-}
-
-// Handle renders the record as one printf call.
-func (h *logfHandler) Handle(_ context.Context, r slog.Record) error {
-	var b strings.Builder
-	b.WriteString(r.Message)
-	write := func(a slog.Attr) {
-		if a.Key == "" {
-			return
-		}
-		fmt.Fprintf(&b, " %s=%v", a.Key, a.Value.Any())
-	}
-	for _, a := range h.attrs {
-		write(a)
-	}
-	r.Attrs(func(a slog.Attr) bool {
-		write(a)
-		return true
-	})
-	h.logf("%s", b.String())
-	return nil
-}
-
-// WithAttrs returns a handler that prefixes the given attributes.
-func (h *logfHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	merged := append(append([]slog.Attr(nil), h.attrs...), attrs...)
-	return &logfHandler{logf: h.logf, attrs: merged}
-}
-
-// WithGroup flattens groups: the legacy sink has no nesting to offer.
-func (h *logfHandler) WithGroup(string) slog.Handler { return h }
 
 // requestIDKey carries the per-request ID through request contexts.
 type requestIDKey struct{}

@@ -36,16 +36,12 @@ package service
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"glade/internal/core"
-	"glade/internal/metrics"
 	"glade/internal/telemetry"
 )
 
@@ -108,11 +104,6 @@ type Config struct {
 	// that is down instead of hammering it (default 16; negative
 	// disables the breaker).
 	BreakerThreshold int
-	// Logf, when non-nil, receives server log lines. Superseded by Logger:
-	// when both are unset logging is off, and when only Logf is set it
-	// receives the structured records flattened to printf lines (info
-	// level and above), keeping pre-slog embedders working.
-	Logf func(format string, args ...any)
 	// Logger, when non-nil, receives the server's structured logs:
 	// request lines at debug, job/campaign lifecycle at info, persistence
 	// problems at warn/error. See cmd/glade-serve's -log-format and
@@ -191,9 +182,10 @@ func (c Config) resolveRetries(req *int) int {
 	return min(r, c.MaxRetries)
 }
 
-// Server is the glade-serve daemon: a grammar store, a bounded-concurrency
-// job manager, a pooled fuzz generator, and the HTTP handler tying them
-// together. Create with New, serve its Handler, Close on shutdown.
+// Server is the glade-serve daemon: a grammar store, bounded-concurrency
+// ledgers for learn jobs and campaigns, a pooled fuzz generator, and the
+// HTTP handler tying them together. Create with New, serve its Handler,
+// Close on shutdown.
 type Server struct {
 	cfg     Config
 	store   *Store
@@ -206,7 +198,8 @@ type Server struct {
 	// requests (capacity cfg.MaxValidating).
 	validating chan struct{}
 
-	// baseCtx is cancelled by Close so running campaigns stop promptly.
+	// baseCtx is cancelled by Close so running campaigns stop promptly and
+	// queued work never starts.
 	baseCtx    context.Context
 	cancelBase context.CancelFunc
 
@@ -216,22 +209,19 @@ type Server struct {
 	// probe and in-flight requests finish normally.
 	draining atomic.Bool
 
-	mu        sync.Mutex
-	jobs      map[string]*Job
-	order     []*Job // submission order, for listing
-	queue     chan *Job
-	campaigns map[string]*CampaignRun
-	campOrder []*CampaignRun // submission order, for listing
-	campQueue chan *CampaignRun
-	wg        sync.WaitGroup
-	done      chan struct{}
+	jobs      *ledger[*Job]
+	campaigns *ledger[*CampaignRun]
 }
 
-// New opens the store under cfg.DataDir (loading grammars learned by
-// earlier incarnations) and starts cfg.MaxJobs scheduler workers.
+// New opens the store under cfg.DataDir (loading grammars, job records,
+// and campaign records written by earlier incarnations) and starts
+// cfg.MaxJobs job workers and cfg.MaxCampaigns campaign workers.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	logger := cfg.resolveLogger()
+	logger := cfg.Logger
+	if logger == nil {
+		logger = slog.New(slog.DiscardHandler)
+	}
 	store, err := OpenStore(cfg.DataDir, logger)
 	if err != nil {
 		return nil, err
@@ -248,25 +238,16 @@ func New(cfg Config) (*Server, error) {
 		reg:        reg,
 		met:        newServerMetrics(reg),
 		validating: make(chan struct{}, cfg.MaxValidating),
-		jobs:       map[string]*Job{},
-		queue:      make(chan *Job, cfg.QueueDepth),
-		campaigns:  map[string]*CampaignRun{},
-		campQueue:  make(chan *CampaignRun, cfg.QueueDepth),
-		done:       make(chan struct{}),
 	}
 	s.baseCtx, s.cancelBase = context.WithCancel(context.Background())
+	s.jobs = newLedger(s, "job", "Learn jobs", "Learn jobs currently learning.", s.runJob, s.restoreJob)
+	s.campaigns = newLedger(s, "campaign", "Campaigns", "Campaigns currently fuzzing (or learning their grammar).", s.runCampaign, restoreCampaign)
 	s.registerGauges()
-	s.loadJobs()
-	s.loadCampaigns()
+	s.jobs.load()
+	s.campaigns.load()
 	s.handler = s.routes()
-	for i := 0; i < cfg.MaxJobs; i++ {
-		s.wg.Add(1)
-		go s.worker()
-	}
-	for i := 0; i < cfg.MaxCampaigns; i++ {
-		s.wg.Add(1)
-		go s.campWorker()
-	}
+	s.jobs.start(cfg.MaxJobs)
+	s.campaigns.start(cfg.MaxCampaigns)
 	s.log.Info("store loaded", "grammars", len(store.List()), "dir", store.Dir())
 	return s, nil
 }
@@ -295,373 +276,29 @@ func (s *Server) Drain() {
 // or closed) — the condition behind GET /readyz.
 func (s *Server) Ready() bool { return !s.draining.Load() }
 
-// Close stops accepting submissions, cancels running campaigns (their
-// final checkpoint persists), and waits for running jobs and campaigns to
-// finish. Work still queued races the shutdown drain: each item is either
-// run by a worker or marked failed here. Close is idempotent.
+// Close stops accepting submissions, fails work still queued, cancels
+// running campaigns (their final checkpoint persists), and waits for
+// running jobs and campaigns to finish. Close is idempotent.
 func (s *Server) Close() {
 	s.draining.Store(true)
-	s.mu.Lock()
-	select {
-	case <-s.done:
-		s.mu.Unlock()
-		s.wg.Wait()
-		return
-	default:
-	}
-	close(s.done)
-	close(s.queue)     // Submit holds s.mu around its send, so this is safe
-	close(s.campQueue) // likewise SubmitCampaign
-	s.mu.Unlock()
 	// Campaigns run until their duration elapses; cancelling the base
 	// context ends their fuzzing now (a cancelled campaign still finalizes
 	// and persists its report), and aborts a campaign mid learn-phase too —
-	// core.Learn observes the cancellation within one oracle wave.
+	// core.Learn observes the cancellation within one oracle wave. Running
+	// learn jobs are not derived from it: their grammars are worth waiting
+	// for.
 	s.cancelBase()
-	for j := range s.queue {
-		j.mu.Lock()
-		if j.state.terminal() { // cancelled while queued; already recorded
-			j.mu.Unlock()
-			continue
-		}
-		j.state = JobFailed
-		j.err = "server shut down before the job ran"
-		j.finished = time.Now()
-		j.seeds = nil
-		j.touch()
-		j.mu.Unlock()
-		s.met.jobFinished(JobFailed)
-		s.persistJob(j)
-	}
-	for cr := range s.campQueue {
-		cr.mu.Lock()
-		if cr.state.terminal() { // cancelled while queued; already recorded
-			cr.mu.Unlock()
-			continue
-		}
-		cr.state = JobFailed
-		cr.err = "server shut down before the campaign ran"
-		cr.finished = time.Now()
-		cr.touch()
-		cr.mu.Unlock()
-		s.met.campaignFinished(JobFailed)
-		s.persistCampaign(cr)
-	}
-	s.wg.Wait()
-}
-
-// Submit validates a job spec, resolves its seeds, and enqueues it. ctx is
-// the submitting request's context: its request ID (when the submission
-// came over HTTP) is recorded on the job and threaded through every
-// lifecycle log line; the job's own execution is NOT bounded by ctx.
-func (s *Server) Submit(ctx context.Context, spec JobSpec) (*Job, error) {
-	return s.SubmitWithID(ctx, spec, "")
-}
-
-// SubmitWithID is Submit with a caller-chosen job id — the cluster
-// router's entry point, which mints the id before forwarding so placement
-// is decided before the job exists. An empty id gets a server-generated
-// one; a non-empty id must be in the server format and unused, else the
-// submission fails (errDuplicateID maps to 409 over HTTP).
-func (s *Server) SubmitWithID(ctx context.Context, spec JobSpec, id string) (*Job, error) {
-	if id != "" && !IsValidID(id) {
-		return nil, fmt.Errorf("bad assigned id %q", id)
-	}
-	if spec.Oracle.IsExec() && !s.cfg.AllowExec {
-		return nil, errExecDisabled
-	}
-	// Resolve the oracle now so an invalid spec fails the submission, not
-	// the job. The resolved oracle is rebuilt in run() — oracles are cheap
-	// to construct, and building late keeps Job free of live resources.
-	_, defaults, err := buildOracle(spec.Oracle, 1, s.cfg.DefaultOracleTimeout)
-	if err != nil {
-		return nil, err
-	}
-	seeds := spec.Seeds
-	if len(seeds) == 0 {
-		seeds = defaults
-	}
-	if len(seeds) == 0 {
-		return nil, fmt.Errorf("no seeds: pass seeds or use a builtin oracle with bundled seeds")
-	}
-	total := 0
-	for _, seed := range seeds {
-		total += len(seed)
-	}
-	if total > s.cfg.MaxSeedBytes {
-		return nil, fmt.Errorf("seed payload %d bytes exceeds limit %d", total, s.cfg.MaxSeedBytes)
-	}
-	j := newJob(spec)
-	if id != "" {
-		j.ID = id
-	}
-	j.seeds = seeds
-	j.seedCount = len(seeds)
-	j.reqID = requestID(ctx)
-
-	s.mu.Lock()
-	// Refuse new work from the moment draining begins (Drain or Close):
-	// a queued job accepted now might be abandoned mid-shutdown.
-	if s.draining.Load() {
-		s.mu.Unlock()
-		return nil, errDraining
-	}
-	select {
-	case <-s.done:
-		s.mu.Unlock()
-		return nil, errDraining
-	default:
-	}
-	if _, dup := s.jobs[j.ID]; dup {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("%w: job %q", errDuplicateID, j.ID)
-	}
-	select {
-	case s.queue <- j:
-	default:
-		s.mu.Unlock()
-		return nil, errQueueFull
-	}
-	s.jobs[j.ID] = j
-	s.order = append(s.order, j)
-	s.pruneLocked()
-	s.mu.Unlock()
-	s.met.jobsSubmitted.Inc()
-	j.log(s.log).Info("job queued", "oracle", spec.Oracle.String(), "seeds", len(seeds))
-	return j, nil
+	s.jobs.stop()
+	s.campaigns.stop()
+	s.jobs.wg.Wait()
+	s.campaigns.wg.Wait()
 }
 
 var (
-	errQueueFull    = fmt.Errorf("job queue is full")
+	errQueueFull    = fmt.Errorf("queue is full")
 	errDraining     = fmt.Errorf("server is shutting down")
 	errExecDisabled = fmt.Errorf("exec oracles are disabled on this server; start glade-serve with -allow-exec to permit them")
+	// errAlreadyTerminal tags cancellations of work that already
+	// finished, so the HTTP layer can answer 409 instead of 404/400.
+	errAlreadyTerminal = fmt.Errorf("already in a terminal state")
 )
-
-// maxJobHistory bounds retained job records. Grammars and their metadata
-// live on in the store; only the in-memory job ledger is pruned.
-const maxJobHistory = 1024
-
-// pruneLocked evicts the oldest finished jobs once the ledger outgrows
-// maxJobHistory, so a long-lived daemon's memory stays bounded. Queued and
-// running jobs are never evicted; evicted terminal jobs keep their
-// persisted record on disk. Callers hold s.mu; j.mu nests under it (no
-// path locks them in the opposite order).
-func (s *Server) pruneLocked() {
-	excess := len(s.order) - maxJobHistory
-	if excess <= 0 {
-		return
-	}
-	kept := s.order[:0]
-	for _, j := range s.order {
-		if excess > 0 {
-			j.mu.Lock()
-			terminal := j.state.terminal()
-			j.mu.Unlock()
-			if terminal {
-				delete(s.jobs, j.ID)
-				excess--
-				continue
-			}
-		}
-		kept = append(kept, j)
-	}
-	s.order = kept
-}
-
-// Job returns a submitted job by id.
-func (s *Server) Job(id string) (*Job, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	return j, ok
-}
-
-// Jobs lists jobs in submission order.
-func (s *Server) Jobs() []*Job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]*Job(nil), s.order...)
-}
-
-// worker drains the queue, running one job at a time; MaxJobs workers give
-// the service its bounded job concurrency.
-func (s *Server) worker() {
-	defer s.wg.Done()
-	for j := range s.queue {
-		s.run(j)
-	}
-}
-
-// jobDeadlineGrace is the headroom the hard per-job context deadline adds
-// over the soft learner timeout. The soft timeout (core.Options.Timeout)
-// finalizes the partial language gracefully; the context deadline is the
-// backstop that aborts a learn whose oracle wedged past the soft deadline.
-const jobDeadlineGrace = 30 * time.Second
-
-// run executes one learn job on the core/oracle engine under a per-job
-// context — cancelled by DELETE /v1/jobs/{id} and bounded by
-// context.WithTimeout — and persists the resulting grammar.
-func (s *Server) run(j *Job) {
-	j.mu.Lock()
-	if j.state.terminal() { // cancelled while queued
-		j.mu.Unlock()
-		return
-	}
-	j.mu.Unlock()
-
-	opts := j.Spec.resolveOptions(s.cfg, j.seeds)
-	var reqRetries *int
-	if j.Spec.Options != nil {
-		reqRetries = j.Spec.Options.Retries
-	}
-	o, _, err := s.buildResilientOracle(j.Spec.Oracle, opts.Workers, s.cfg.resolveRetries(reqRetries), s.met.resilientJob)
-	if err != nil {
-		// Validated at submission; only reachable if a builtin vanished.
-		s.finish(j, nil, err)
-		return
-	}
-	timer := metrics.NewQueryTimer(o)
-	// Per-query latencies mirror into the shared registry's job-source
-	// histogram, and phase spans are recorded for the job record, the API,
-	// and /v1/stats.
-	timer.Mirror(s.met.oracleJob)
-	spans := &telemetry.SpanRecorder{}
-	opts.Progress = j.appendEvent
-	opts.Tracer = spans
-
-	// The job context is deliberately NOT derived from baseCtx: shutdown
-	// waits for running learns (their grammars are worth keeping), while
-	// DELETE cancels exactly one job. The hard deadline enforces the job
-	// bound end to end — exec queries run under this context, so no
-	// client-chosen per-query timeout can outlive it.
-	hard := s.cfg.MaxJobDuration + jobDeadlineGrace
-	if opts.Timeout > 0 && opts.Timeout+jobDeadlineGrace < hard {
-		hard = opts.Timeout + jobDeadlineGrace
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), hard)
-	defer cancel()
-
-	j.mu.Lock()
-	// Re-check under the same lock that flips to running: a DELETE that
-	// landed while the oracle was being built has already recorded (and
-	// persisted) the canceled state, which must not be overwritten.
-	if j.state.terminal() {
-		j.mu.Unlock()
-		return
-	}
-	j.state = JobRunning
-	j.started = time.Now()
-	j.cancel = cancel
-	j.touch()
-	j.mu.Unlock()
-	j.log(s.log).Info("job running", "workers", opts.Workers, "timeout", opts.Timeout, "hard_deadline", hard)
-
-	res, err := core.Learn(ctx, j.seeds, timer, opts)
-
-	j.mu.Lock()
-	j.queries = timer.Snapshot()
-	j.spans = spans.Spans()
-	j.cancel = nil
-	j.mu.Unlock()
-	s.finish(j, res, err)
-}
-
-// finish moves a job to its terminal state, persisting the grammar on
-// success and the terminal record either way. A context cancellation that
-// was requested over the API lands in JobCanceled; every other error in
-// JobFailed.
-func (s *Server) finish(j *Job, res *core.Result, err error) {
-	if err == nil {
-		meta := GrammarMeta{
-			ID:        j.ID,
-			Oracle:    j.Spec.Oracle.String(),
-			Spec:      j.Spec.Oracle,
-			Seeds:     j.seeds,
-			CreatedAt: time.Now().UTC(),
-			Queries:   res.Stats.OracleQueries,
-			Seconds:   res.Stats.Duration.Seconds(),
-			TimedOut:  res.Stats.TimedOut,
-		}
-		err = s.store.Put(res.Grammar, meta)
-	}
-	j.mu.Lock()
-	j.finished = time.Now()
-	j.seeds = nil // persisted in GrammarMeta; no reason to hold them here
-	switch {
-	case err == nil:
-		j.state = JobDone
-		j.stats = res.Stats
-	case j.cancelRequested && errors.Is(err, context.Canceled):
-		j.state = JobCanceled
-		j.err = "canceled by request"
-	default:
-		j.state = JobFailed
-		j.err = err.Error()
-	}
-	state := j.state
-	j.touch()
-	j.mu.Unlock()
-	s.met.jobFinished(state)
-	s.persistJob(j)
-	switch state {
-	case JobDone:
-		s.met.oracleQueries.Add(uint64(res.Stats.OracleQueries))
-		j.log(s.log).Info("job done",
-			"queries", res.Stats.OracleQueries,
-			"seconds", res.Stats.Duration.Seconds())
-	case JobCanceled:
-		j.log(s.log).Info("job canceled")
-	default:
-		j.log(s.log).Warn("job failed", "error", err)
-	}
-}
-
-// CancelJob cancels a job by id: a queued job flips to canceled
-// immediately (the scheduler will skip it), a running job has its context
-// cancelled and reaches canceled as soon as the learner unwinds — within
-// one oracle wave. Cancelling a job already in a terminal state reports
-// errAlreadyTerminal.
-func (s *Server) CancelJob(id string) (*Job, error) {
-	j, ok := s.Job(id)
-	if !ok {
-		return nil, fmt.Errorf("%w: no job %q", errNotFound, id)
-	}
-	j.mu.Lock()
-	switch {
-	case j.state.terminal():
-		j.mu.Unlock()
-		return j, errAlreadyTerminal
-	case j.state == JobQueued:
-		j.state = JobCanceled
-		j.err = "canceled by request"
-		j.finished = time.Now()
-		j.seeds = nil
-		j.cancelRequested = true
-		// A worker may have popped this job already and be building its
-		// oracle; it re-checks the terminal state before running, and the
-		// cancel (when the context is already set up) stops it regardless.
-		cancel := j.cancel
-		j.touch()
-		j.mu.Unlock()
-		if cancel != nil {
-			cancel()
-		}
-		s.met.jobFinished(JobCanceled)
-		s.persistJob(j)
-		j.log(s.log).Info("job canceled while queued")
-		return j, nil
-	default: // running
-		j.cancelRequested = true
-		cancel := j.cancel
-		j.mu.Unlock()
-		if cancel != nil {
-			cancel()
-		}
-		j.log(s.log).Info("job cancellation requested")
-		return j, nil
-	}
-}
-
-// errAlreadyTerminal tags cancellations of work that already finished, so
-// the HTTP layer can answer 409 instead of 404/400.
-var errAlreadyTerminal = fmt.Errorf("already in a terminal state")

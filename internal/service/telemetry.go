@@ -8,23 +8,9 @@ import (
 	"glade/internal/telemetry"
 )
 
-// serverMetrics holds the server's registered instruments. Lifecycle
-// counters are monotonic and incremented at terminal transitions (and from
-// restored records at startup), so they survive job-ledger pruning;
-// queued/running population gauges are computed from the ledger at scrape
-// time instead of being transition-tracked, which keeps every state change
-// site free of gauge bookkeeping.
+// serverMetrics holds the server's registered instruments outside the
+// task ledgers, which own their lifecycle counters and population gauges.
 type serverMetrics struct {
-	jobsSubmitted *telemetry.Counter
-	jobsDone      *telemetry.Counter
-	jobsFailed    *telemetry.Counter
-	jobsCanceled  *telemetry.Counter
-
-	campaignsSubmitted *telemetry.Counter
-	campaignsDone      *telemetry.Counter
-	campaignsFailed    *telemetry.Counter
-	campaignsCanceled  *telemetry.Counter
-
 	oracleQueries *telemetry.Counter
 
 	// Per-source oracle latency histograms, fed by metrics.QueryTimer
@@ -50,26 +36,12 @@ type serverMetrics struct {
 }
 
 func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
-	const (
-		jobsHelp  = "Learn jobs that reached this terminal state (including records restored from disk)."
-		campsHelp = "Campaigns that reached this terminal state (including records restored from disk)."
-	)
 	histogram := func(source string) *telemetry.Histogram {
 		return reg.Histogram("glade_oracle_query_seconds",
 			"Membership-oracle query latency, by query source.",
 			telemetry.L("source", source))
 	}
 	return &serverMetrics{
-		jobsSubmitted: reg.Counter("glade_jobs_submitted_total", "Learn jobs accepted by this process."),
-		jobsDone:      reg.Counter("glade_jobs_done_total", jobsHelp),
-		jobsFailed:    reg.Counter("glade_jobs_failed_total", jobsHelp),
-		jobsCanceled:  reg.Counter("glade_jobs_canceled_total", jobsHelp),
-
-		campaignsSubmitted: reg.Counter("glade_campaigns_submitted_total", "Campaigns accepted by this process."),
-		campaignsDone:      reg.Counter("glade_campaigns_done_total", campsHelp),
-		campaignsFailed:    reg.Counter("glade_campaigns_failed_total", campsHelp),
-		campaignsCanceled:  reg.Counter("glade_campaigns_canceled_total", campsHelp),
-
 		oracleQueries: reg.Counter("glade_oracle_queries_total",
 			"De-duplicated oracle queries spent by completed learn jobs."),
 
@@ -89,64 +61,10 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 	}
 }
 
-// jobFinished counts one job's arrival in a terminal state.
-func (m *serverMetrics) jobFinished(state JobState) {
-	switch state {
-	case JobDone:
-		m.jobsDone.Inc()
-	case JobFailed:
-		m.jobsFailed.Inc()
-	case JobCanceled:
-		m.jobsCanceled.Inc()
-	}
-}
-
-// campaignFinished counts one campaign's arrival in a terminal state.
-func (m *serverMetrics) campaignFinished(state JobState) {
-	switch state {
-	case JobDone:
-		m.campaignsDone.Inc()
-	case JobFailed:
-		m.campaignsFailed.Inc()
-	case JobCanceled:
-		m.campaignsCanceled.Inc()
-	}
-}
-
-// registerGauges installs the scrape-time computed gauges. The callbacks
-// run on the exposition handler's goroutine and take s.mu (and nested
-// per-job mutexes), which no scrape-path caller already holds.
+// registerGauges installs the scrape-time computed gauges outside the
+// task ledgers. The callbacks run on the exposition handler's goroutine
+// and take locks no scrape-path caller already holds.
 func (s *Server) registerGauges() {
-	jobCount := func(state JobState) func() float64 {
-		return func() float64 {
-			n := 0
-			for _, j := range s.Jobs() {
-				j.mu.Lock()
-				if j.state == state {
-					n++
-				}
-				j.mu.Unlock()
-			}
-			return float64(n)
-		}
-	}
-	campaignCount := func(state JobState) func() float64 {
-		return func() float64 {
-			n := 0
-			for _, cr := range s.Campaigns() {
-				cr.mu.Lock()
-				if cr.state == state {
-					n++
-				}
-				cr.mu.Unlock()
-			}
-			return float64(n)
-		}
-	}
-	s.reg.GaugeFunc("glade_jobs_queued", "Learn jobs waiting for a scheduler slot.", jobCount(JobQueued))
-	s.reg.GaugeFunc("glade_jobs_running", "Learn jobs currently learning.", jobCount(JobRunning))
-	s.reg.GaugeFunc("glade_campaigns_queued", "Campaigns waiting for a scheduler slot.", campaignCount(JobQueued))
-	s.reg.GaugeFunc("glade_campaigns_running", "Campaigns currently fuzzing (or learning their grammar).", campaignCount(JobRunning))
 	s.reg.GaugeFunc("glade_store_grammars", "Grammars in the disk-backed store.", func() float64 {
 		return float64(len(s.store.List()))
 	})

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"net/http"
 	"testing"
@@ -21,11 +22,11 @@ func TestWatchIncrementalDelivery(t *testing.T) {
 
 	// Install a queued job directly in the ledger; the test plays the role
 	// of the scheduler worker.
-	j := newJob(JobSpec{Oracle: oracle.Spec{Type: oracle.SpecProgram, Name: "grep"}})
-	srv.mu.Lock()
-	srv.jobs[j.ID] = j
-	srv.order = append(srv.order, j)
-	srv.mu.Unlock()
+	j := &Job{task: newTask(context.Background(), ""), Spec: JobSpec{Oracle: oracle.Spec{Type: oracle.SpecProgram, Name: "grep"}}}
+	srv.jobs.mu.Lock()
+	srv.jobs.byID[j.ID] = j
+	srv.jobs.order = append(srv.jobs.order, j)
+	srv.jobs.mu.Unlock()
 
 	resp, err := http.Get(ts.URL + "/v1/jobs/" + j.ID + "?watch=1")
 	if err != nil {
