@@ -51,13 +51,15 @@ bench:
 	go run ./scripts/servecheck BENCH_serve.json
 
 # Longer local runs of the native fuzz targets that lock down the
-# recognition ladder (differential verdicts across all rungs) and the
-# grammar wire format (Unmarshal/Marshal/Compile round trip). CI runs the
+# recognition ladder (differential verdicts across all rungs), the
+# grammar wire format (Unmarshal/Marshal/Compile round trip) and the
+# learner's substitution table (differential against Match). CI runs the
 # same targets at a 30s smoke budget; override with FUZZTIME=10m etc.
 FUZZTIME ?= 2m
 fuzz:
 	go test ./internal/cfg -run='^$$' -fuzz='^FuzzAcceptsDifferential$$' -fuzztime=$(FUZZTIME)
 	go test ./internal/cfg -run='^$$' -fuzz='^FuzzCompileRoundTrip$$' -fuzztime=$(FUZZTIME)
+	go test ./internal/rex -run='^$$' -fuzz='^FuzzSubstitutions$$' -fuzztime=$(FUZZTIME)
 
 # Chaos smoke for the fault-tolerant oracle stack: learn sed and xml
 # through a deterministic ~10% transient-fault injector and assert zero

@@ -146,6 +146,14 @@ func TestAblations(t *testing.T) {
 		t.Errorf("reverse ordering did not reduce xml recall: %.2f vs %.2f",
 			byKey["xml/reverse-ordering"].Recall, byKey["xml/full"].Recall)
 	}
+	// Discarded member checks (§4.3) are never sent, so the full learner
+	// must ask the oracle fewer queries than the no-discard variant.
+	for _, tgt := range []string{"url", "grep", "lisp", "xml"} {
+		full, all := byKey[tgt+"/full"].Queries, byKey[tgt+"/no-discard"].Queries
+		if full >= all {
+			t.Errorf("%s: full asked %d queries, no-discard %d; discarding saved none", tgt, full, all)
+		}
+	}
 }
 
 func TestTestSuitesAreValid(t *testing.T) {

@@ -1,10 +1,18 @@
 package core
 
+import "glade/internal/bytesets"
+
 // charGen is the character-generalization phase of §6.2: for each terminal
 // position σi of each literal in the synthesized regular expression, and
 // each other byte σ of the generalization alphabet, it proposes replacing
 // σi by (σi + σ), validated by the single check γ·σ1…σi−1·σ·σi+1…σk·δ.
 // Each (position, byte) pair is considered exactly once.
+//
+// Membership of every such check in L̂i comes from one substitution table
+// per literal (rex.Matcher.Substitutions). The table stays exact for the
+// whole scan, because the matcher changes only in rewriteLit, after it.
+// Members are discarded without a query (§4.3), so only the rest reach the
+// oracle.
 //
 // Every (position, byte) check result is consumed — there is no accept
 // point that cuts the scan short — so this phase parallelizes perfectly:
@@ -32,13 +40,18 @@ func (l *learner) charGen(root *node) {
 		l.emit(Progress{Phase: "chargen", Lit: li + 1, Lits: len(lits)})
 		s := n.str
 		γ, δ := n.ctx.Left, n.ctx.Right
+		var members []bytesets.Set // row i: the bytes σ whose check at i is in L̂i
+		if l.opts.DiscardMemberChecks {
+			members = l.currentMatcher().Substitutions(γ, s, δ)
+		}
 
 		// Flatten the (position, byte) candidates of this literal; the scan
 		// visits them in the seed's order (positions left to right, alphabet
 		// order within a position).
 		type cgCand struct {
-			pos int
-			σ   byte
+			pos    int
+			σ      byte
+			member bool
 		}
 		cands := make([]cgCand, 0, len(s)*len(alphabet))
 		for i := 0; i < len(s); i++ {
@@ -46,7 +59,7 @@ func (l *learner) charGen(root *node) {
 				if σ == s[i] {
 					continue
 				}
-				cands = append(cands, cgCand{i, σ})
+				cands = append(cands, cgCand{i, σ, members != nil && members[i].Has(σ)})
 			}
 		}
 
@@ -56,19 +69,25 @@ func (l *learner) charGen(root *node) {
 		}
 		anyWidened := false
 		w := l.newWaves(false)
+		var checks, ask []string // per-wave buffers; a member's check stays ""
 	scan:
 		for lo := 0; lo < len(cands); {
 			hi := min(lo+w.nextSize(), len(cands))
-			if w.speculate {
-				checks := make([]string, 0, hi-lo)
-				for _, c := range cands[lo:hi] {
-					checks = append(checks, γ+s[:c.pos]+string(c.σ)+s[c.pos+1:]+δ)
-				}
-				l.prefetch(checks)
-			}
+			checks, ask = checks[:0], ask[:0]
 			for _, c := range cands[lo:hi] {
+				check := ""
+				if !c.member {
+					check = γ + s[:c.pos] + string(c.σ) + s[c.pos+1:] + δ
+					ask = append(ask, check)
+				}
+				checks = append(checks, check)
+			}
+			if w.speculate {
+				l.prefetch(ask)
+			}
+			for k, c := range cands[lo:hi] {
 				l.stats.CharGenChecks++
-				if l.passes(γ + s[:c.pos] + string(c.σ) + s[c.pos+1:] + δ) {
+				if l.decide(checks[k], c.member) {
 					sets[c.pos] = append(sets[c.pos], c.σ)
 					anyWidened = true
 				}

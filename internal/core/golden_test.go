@@ -17,10 +17,9 @@ import (
 // byte-identical to the ones the pre-migration engine synthesized (the
 // committed testdata goldens). Any drift means the v2 oracle stack changed
 // a decision the §4.2 scan makes, which the API redesign must never do.
-// The recognition ladder runs inside learning (phase-2 candidate checks go
-// through Compiled.Accepts), so passing also pins that the DFA/VM rungs do
-// not perturb a single learner decision; the ladder's own verdicts are
-// re-checked against the reference parser on the learned result below.
+// The learner itself never calls the recognition ladder; the ladder's
+// verdicts on the learned grammar are checked against the reference parser
+// below.
 func TestGoldenGrammars(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full program learning")

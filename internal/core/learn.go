@@ -25,7 +25,9 @@ type Options struct {
 	// Empty disables the phase regardless of CharGen.
 	GenAlphabet bytesets.Set
 	// DiscardMemberChecks discards checks already in the current language
-	// L̂i (§4.3) instead of querying the oracle about them.
+	// L̂i (§4.3): membership is tested first, and a discarded check is never
+	// sent to the oracle. Off, every check is asked of the oracle, and a
+	// member the oracle rejects fails its candidate.
 	DiscardMemberChecks bool
 	// ReverseOrdering inverts the §4.2 candidate ordering heuristic
 	// (longest α1 first, shortest α2 first) — an ablation knob showing the
@@ -66,10 +68,11 @@ type Options struct {
 	// and "chargen" per generalized seed, "phase2", and "finalize". Spans
 	// are contiguous — each starts where the previous one ended — so their
 	// summed wall time equals the run's wall time. Span attributes carry
-	// the phase's deltas: checks, candidates, oracle queries, cache hits,
-	// speculative wave count, and speculation hit-rate. Emission happens
-	// synchronously on the learning goroutine; Tracer implementations must
-	// be fast and must not call back into the learner.
+	// the phase's deltas: checks, discarded member checks, candidates,
+	// oracle queries, cache hits, speculative wave count, and speculation
+	// hit-rate. Emission happens synchronously on the learning goroutine;
+	// Tracer implementations must be fast and must not call back into the
+	// learner.
 	Tracer telemetry.Tracer
 	// Logf, when non-nil, receives a Figure 2-style trace of every chosen
 	// generalization step.
@@ -97,7 +100,7 @@ type Stats struct {
 	SeedsSkipped    int           `json:"seeds_skipped"`    // seeds already in the language learned so far (§6.1)
 	Candidates      int           `json:"candidates"`       // generalization candidates considered
 	Checks          int           `json:"checks"`           // check strings evaluated
-	DiscardedChecks int           `json:"discarded_checks"` // checks discarded as members of L̂i
+	DiscardedChecks int           `json:"discarded_checks"` // checks discarded as members of L̂i, never sent to the oracle
 	CharGenChecks   int           `json:"chargen_checks"`   // character-generalization checks
 	Waves           int           `json:"waves"`            // speculative prefetch waves issued (Workers > 1)
 	MergePairs      int           `json:"merge_pairs"`      // phase-two pairs examined

@@ -9,6 +9,7 @@ import (
 	"glade/internal/oracle"
 	"glade/internal/programs"
 	"glade/internal/rex"
+	"glade/internal/targets"
 )
 
 // figure1XML recognizes L(CXML) from Figure 1 of the paper: the XML-like
@@ -95,27 +96,38 @@ func TestParallelDeterminismPrograms(t *testing.T) {
 	}
 }
 
-// TestParallelStatsConsistent checks the stats invariants the parallel path
-// must keep: every check the scan consults is counted, and the cache
-// accounts for every query (hits + unique misses).
+// TestParallelStatsConsistent checks the query accounting of the §4.3
+// check discipline on several §8.2 seed sets. A check is either discarded
+// as a member of L̂i, and never reaches the cache, or looked up in the cache
+// exactly once. At Workers=1 the only other lookups are the seeds', so the
+// accounting is exact; above 1, speculative waves add lookups the scan may
+// never consult.
 func TestParallelStatsConsistent(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Workers = 8
-	res, err := Learn(context.Background(), []string{"<a>hi</a>"}, oracle.Func(figure1XML), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := res.Stats
-	if s.Checks == 0 || s.CharGenChecks == 0 {
-		t.Fatalf("parallel run recorded no checks: %+v", s)
-	}
-	if s.OracleQueries == 0 {
-		t.Fatalf("parallel run recorded no oracle queries: %+v", s)
-	}
-	// Speculative prefetching may issue more unique queries than the scan
-	// consults, but the cache can never report fewer than the distinct
-	// checks the scan needed.
-	if s.OracleQueries+s.CacheHits < s.Checks {
-		t.Fatalf("cache accounting lost queries: %+v", s)
+	for _, tgt := range targets.All() {
+		for k := 0; k < 3; k++ {
+			seeds := decisionSeeds(tgt, k)
+			for _, workers := range []int{1, 8} {
+				opts := DefaultOptions()
+				opts.Workers = workers
+				res, err := Learn(context.Background(), seeds, oracle.AsCheck(tgt.Oracle), opts)
+				if err != nil {
+					t.Fatalf("%s set=%d workers=%d: %v", tgt.Name, k, workers, err)
+				}
+				s := res.Stats
+				if s.Checks == 0 || s.CharGenChecks == 0 || s.OracleQueries == 0 || s.DiscardedChecks == 0 {
+					t.Fatalf("%s set=%d workers=%d recorded no checks, queries or discards: %+v", tgt.Name, k, workers, s)
+				}
+				lookups := s.OracleQueries + s.CacheHits
+				if workers == 1 {
+					if want := s.Checks - s.DiscardedChecks + len(seeds); lookups != want {
+						t.Errorf("%s set=%d workers=1: queries+hits = %d, want checks-discarded+seeds = %d: %+v",
+							tgt.Name, k, lookups, want, s)
+					}
+				} else if lookups+s.DiscardedChecks < s.Checks {
+					t.Errorf("%s set=%d workers=%d: queries+hits+discarded = %d < checks = %d: %+v",
+						tgt.Name, k, workers, lookups+s.DiscardedChecks, s.Checks, s)
+				}
+			}
+		}
 	}
 }

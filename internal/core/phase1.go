@@ -35,6 +35,10 @@ type learner struct {
 
 	matcher      *rex.Matcher
 	matcherDirty bool
+	// known holds the current matcher's membership answers for the checks
+	// of the last screened wave, so the scan that follows does not match
+	// them again. Recompiling the matcher clears it.
+	known map[string]bool
 
 	deadline time.Time
 	step     int
@@ -66,9 +70,10 @@ func (l *learner) accepts(s string) bool {
 // prefetch issues a wave of independent checks through the cache's batched
 // bulk path, so the sequential decision scan that follows answers from
 // memory. Speculative: checks past the scan's accept point cost extra
-// underlying queries but never change any decision. Cancellation and
-// oracle failures inside the wave trip oracleErr; nothing is cached on
-// that path, so the failure cannot poison later answers.
+// underlying queries but never change any decision. Callers pass only
+// checks outside L̂i (see screen), since the scan never sends members.
+// Cancellation and oracle failures inside the wave trip oracleErr; nothing
+// is cached on that path, so the failure cannot poison later answers.
 func (l *learner) prefetch(checks []string) {
 	if l.oracleErr != nil || len(checks) <= 1 {
 		return
@@ -77,6 +82,30 @@ func (l *learner) prefetch(checks []string) {
 	if _, err := l.cached.CheckBatch(l.ctx, checks); err != nil {
 		l.oracleErr = err
 	}
+}
+
+// screen answers membership in L̂i for a wave's checks, keeping the answers
+// in l.known for the scan, and returns the checks that are not members —
+// the only ones the scan may send to the oracle. With member discarding off
+// every check is returned.
+func (l *learner) screen(checks []string) []string {
+	if !l.opts.DiscardMemberChecks {
+		return checks
+	}
+	m := l.currentMatcher()
+	if l.known == nil {
+		l.known = make(map[string]bool, len(checks))
+	}
+	clear(l.known)
+	ask := make([]string, 0, len(checks))
+	for _, c := range checks {
+		member := m.Match(c)
+		l.known[c] = member
+		if !member {
+			ask = append(ask, c)
+		}
+	}
+	return ask
 }
 
 // expired reports whether the learning deadline has passed; once true, the
@@ -117,25 +146,42 @@ func (l *learner) currentMatcher() *rex.Matcher {
 		}
 		l.matcher = rex.Compile(rex.Union(kids...))
 		l.matcherDirty = false
+		clear(l.known)
 	}
 	return l.matcher
 }
 
-// passes implements the check discipline of §4.3: a check string passes if
-// the oracle accepts it, or — when the member-discard option is on — if it
-// already belongs to the current language L̂i (such checks are discarded
-// from S). The oracle is consulted first because it is cached and usually
-// cheaper than recompiling a matcher.
+// passes implements the check discipline of §4.3. With DiscardMemberChecks
+// on, a check already in the current language L̂i passes and is discarded
+// from S without being sent to the oracle; only a non-member is queried.
+// Membership goes first because a query may run the program under test,
+// while the matcher answers in memory. The answer (member, or accepted by
+// the oracle) does not depend on the order, so the order changes which
+// checks cost a query, never a decision. With the option off, every check
+// is queried.
 func (l *learner) passes(check string) bool {
+	return l.decide(check, l.opts.DiscardMemberChecks && l.member(check))
+}
+
+// decide counts one check whose membership in L̂i is already known, and
+// asks the oracle only when it is not a member.
+func (l *learner) decide(check string, member bool) bool {
 	l.stats.Checks++
-	if l.accepts(check) {
-		return true
-	}
-	if l.opts.DiscardMemberChecks && l.currentMatcher().Match(check) {
+	if member {
 		l.stats.DiscardedChecks++
 		return true
 	}
-	return false
+	return l.accepts(check)
+}
+
+// member reports whether check ∈ L̂i, reusing the answer screen computed
+// for the current wave when there is one.
+func (l *learner) member(check string) bool {
+	m := l.currentMatcher()
+	if v, ok := l.known[check]; ok {
+		return v
+	}
+	return m.Match(check)
 }
 
 // waves sizes the chunks of an ordered candidate scan. In speculative mode
@@ -284,7 +330,7 @@ func (l *learner) generalizeRep(h *node) []*node {
 				for _, c := range buf {
 					checks = append(checks, γ+c.α1+c.α3+δ, γ+c.α1+c.α2+c.α2+c.α3+δ)
 				}
-				l.prefetch(checks)
+				l.prefetch(l.screen(checks))
 			}
 			for _, c := range buf {
 				l.stats.Candidates++
@@ -361,7 +407,7 @@ func (l *learner) generalizeAlt(h *node) []*node {
 					i := k + 1 // α1 = α[:i], shorter first (§4.2)
 					checks = append(checks, γ+α[:i]+δ, γ+α[i:]+δ)
 				}
-				l.prefetch(checks)
+				l.prefetch(l.screen(checks))
 			}
 			for k := lo; k < hi; k++ {
 				i := k + 1

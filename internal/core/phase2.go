@@ -42,7 +42,7 @@ func (l *learner) phase2(allStars []*node) *unionFind {
 					a.ctx.Left+b.bodySeed+b.bodySeed+a.ctx.Right,
 					b.ctx.Left+a.bodySeed+a.bodySeed+b.ctx.Right)
 			}
-			l.prefetch(checks)
+			l.prefetch(l.screen(checks))
 		}
 		for _, p := range pairs[lo:hi] {
 			if l.stopped() {

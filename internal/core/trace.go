@@ -48,6 +48,7 @@ func (l *learner) endSpan(name string, seed int, m spanMark) {
 		}
 	}
 	set("checks", float64(l.stats.Checks-m.stats.Checks))
+	set("discarded", float64(l.stats.DiscardedChecks-m.stats.DiscardedChecks))
 	set("candidates", float64(l.stats.Candidates-m.stats.Candidates))
 	set("chargen_checks", float64(l.stats.CharGenChecks-m.stats.CharGenChecks))
 	set("merge_pairs", float64(l.stats.MergePairs-m.stats.MergePairs))

@@ -91,13 +91,17 @@ func TestLearnPhaseSpans(t *testing.T) {
 	}
 
 	// Attribute deltas must reconcile with the run's aggregate stats.
-	var queries, waves float64
+	var queries, waves, discarded float64
 	for _, s := range spans {
 		queries += s.Attrs["queries"]
 		waves += s.Attrs["waves"]
+		discarded += s.Attrs["discarded"]
 	}
 	if int(queries) != res.Stats.OracleQueries {
 		t.Errorf("span queries sum to %v, stats report %d", queries, res.Stats.OracleQueries)
+	}
+	if int(discarded) != res.Stats.DiscardedChecks || res.Stats.DiscardedChecks == 0 {
+		t.Errorf("span discards sum to %v, stats report %d (want nonzero)", discarded, res.Stats.DiscardedChecks)
 	}
 	if int(waves) != res.Stats.Waves || res.Stats.Waves == 0 {
 		t.Errorf("span waves sum to %v, stats report %d (want nonzero at Workers=4)", waves, res.Stats.Waves)
