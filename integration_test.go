@@ -8,7 +8,6 @@ import (
 
 	"glade/internal/bytesets"
 	"glade/internal/fuzz"
-	"glade/internal/oracle"
 	"glade/internal/programs"
 	"glade/internal/targets"
 )
@@ -82,11 +81,10 @@ func TestExecOracle(t *testing.T) {
 	if !o.Accepts("xxabyy") || o.Accepts("nope") {
 		t.Skip("grep unavailable or behaves unexpectedly; skipping")
 	}
-	cached := oracle.NewCached(o)
 	opts := DefaultOptions()
 	opts.GenAlphabet = bytesets.OfString("abxy")
 	opts.Timeout = 30 * time.Second
-	res, err := Learn([]string{"xaby"}, cached, opts)
+	res, err := Learn([]string{"xaby"}, o, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

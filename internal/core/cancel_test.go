@@ -15,7 +15,7 @@ import (
 // learner: cancelling the context mid-phase makes Learn return quickly —
 // within one oracle wave — with an error wrapping ctx.Err(), and the
 // oracle stops being queried. Run under -race this also exercises the
-// concurrent cancellation paths of the cache and the worker pool.
+// concurrent cancellation path of the worker pool.
 func TestLearnCancelReturnsPromptly(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {

@@ -106,7 +106,7 @@ type Stats struct {
 	MergePairs      int           `json:"merge_pairs"`      // phase-two pairs examined
 	Merged          int           `json:"merged"`           // phase-two merges accepted
 	OracleQueries   int           `json:"queries"`          // de-duplicated queries reaching the oracle
-	CacheHits       int           `json:"cache_hits"`       // queries answered by the cache
+	CacheHits       int           `json:"cache_hits"`       // checks answered by the learner's verdict memo
 	TimedOut        bool          `json:"timed_out"`
 	Duration        time.Duration `json:"duration_ns"`
 }
@@ -137,40 +137,18 @@ func Learn(ctx context.Context, seeds []string, o oracle.CheckOracle, opts Optio
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("core: no seed inputs")
 	}
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	// The oracle stack: Cached (sharded memo + in-flight dedup) on top of a
-	// worker pool fanning batch waves out over the user's oracle. At
-	// Workers <= 1 the pool is omitted and every query is issued
-	// sequentially, exactly as the paper's algorithm. Underlying-query
-	// accounting comes from the cache's miss counter, so no counting
-	// wrapper is needed.
-	inner := o
-	if workers > 1 {
-		inner = oracle.Parallel(o, workers)
-	}
-	cached := oracle.NewCached(inner)
-	rngSeed := opts.RandSeed
-	if rngSeed == 0 {
-		rngSeed = 1
-	}
-	l := &learner{ctx: ctx, opts: opts, cached: cached, workers: workers, rng: rand.New(rand.NewSource(rngSeed))}
-	if opts.Timeout > 0 {
-		l.deadline = time.Now().Add(opts.Timeout)
-	}
+	l := newLearner(ctx, o, opts)
 	start := time.Now()
 	l.spanClock = start
 
 	sm := l.markSpan()
-	verdicts, err := cached.CheckBatch(ctx, seeds)
-	if err != nil {
-		return nil, fmt.Errorf("core: checking seeds: %w", err)
+	l.askAll(seeds)
+	if l.oracleErr != nil {
+		return nil, fmt.Errorf("core: checking seeds: %w", l.oracleErr)
 	}
-	for i, v := range verdicts {
-		if v != oracle.Accept {
-			return nil, fmt.Errorf("core: seed %d (%q) is rejected by the oracle (%v)", i, seeds[i], v)
+	for i, seed := range seeds {
+		if v := l.memo[seed]; v != oracle.Accept {
+			return nil, fmt.Errorf("core: seed %d (%q) is rejected by the oracle (%v)", i, seed, v)
 		}
 	}
 	l.endSpan("seeds", -1, sm)
@@ -230,10 +208,36 @@ func Learn(ctx context.Context, seeds []string, o oracle.CheckOracle, opts Optio
 		kids[i] = toRex(r)
 	}
 	l.endSpan("finalize", -1, sm)
-	hits, misses := cached.Stats()
-	l.stats.OracleQueries = misses
-	l.stats.CacheHits = hits
 	l.stats.Duration = time.Since(start)
 	l.emit(Progress{Phase: "done", Seeds: len(seeds)})
 	return &Result{Grammar: g, Regex: rex.Union(kids...), Stats: l.stats}, nil
+}
+
+// newLearner prepares the state of one Learn invocation. The learner
+// memoizes verdicts itself (learner.memo), so a repeated check never
+// reaches o twice. Below the memo, at Workers > 1, a worker pool fans each
+// wave out over o; at Workers <= 1 the pool is omitted and every query is
+// issued sequentially, exactly as the paper's algorithm.
+func newLearner(ctx context.Context, o oracle.CheckOracle, opts Options) *learner {
+	workers := max(opts.Workers, 1)
+	inner := o
+	if workers > 1 {
+		inner = oracle.Parallel(o, workers)
+	}
+	rngSeed := opts.RandSeed
+	if rngSeed == 0 {
+		rngSeed = 1
+	}
+	l := &learner{
+		ctx:     ctx,
+		opts:    opts,
+		inner:   inner,
+		memo:    map[string]oracle.Verdict{},
+		workers: workers,
+		rng:     rand.New(rand.NewSource(rngSeed)),
+	}
+	if opts.Timeout > 0 {
+		l.deadline = time.Now().Add(opts.Timeout)
+	}
+	return l
 }

@@ -98,7 +98,7 @@ func TestParallelDeterminismPrograms(t *testing.T) {
 
 // TestParallelStatsConsistent checks the query accounting of the §4.3
 // check discipline on several §8.2 seed sets. A check is either discarded
-// as a member of L̂i, and never reaches the cache, or looked up in the cache
+// as a member of L̂i, and never reaches the memo, or looked up in the memo
 // exactly once. At Workers=1 the only other lookups are the seeds', so the
 // accounting is exact; above 1, speculative waves add lookups the scan may
 // never consult.

@@ -11,11 +11,20 @@ import (
 
 // learner holds the mutable state of one Learn invocation.
 type learner struct {
-	ctx    context.Context
-	opts   Options
-	cached *oracle.Cached
-	stats  Stats
-	rng    *rand.Rand
+	ctx   context.Context
+	opts  Options
+	stats Stats
+	rng   *rand.Rand
+
+	// inner answers the queries the memo cannot: the caller's oracle, behind
+	// a worker pool (oracle.Parallel) when workers > 1.
+	inner oracle.CheckOracle
+	// memo holds every verdict inner returned, so a repeated check is
+	// answered from memory and counted in Stats.CacheHits instead of
+	// Stats.OracleQueries. A failed query or wave memoizes nothing. Only the
+	// learning goroutine touches it (waves fan out below it), so it needs no
+	// lock.
+	memo map[string]oracle.Verdict
 
 	// workers is the resolved Options.Workers (at least 1). Above 1 the
 	// candidate scans prefetch check waves through the oracle's bulk path.
@@ -25,7 +34,7 @@ type learner struct {
 	// Once set, every subsequent check answers false without querying, the
 	// scans wind down at their next stopped() poll, and Learn surfaces the
 	// error instead of a grammar. The learner runs single-threaded (waves
-	// fan out below the cache), so no lock is needed.
+	// fan out below the memo), so no lock is needed.
 	oracleErr error
 
 	// roots are the per-seed trees learned so far (including the tree
@@ -33,6 +42,12 @@ type learner struct {
 	// language L̂i.
 	roots []*node
 
+	// matcher recognizes L̂i, the alternation of roots. matcherDirty makes
+	// currentMatcher recompile it, so every mutation that changes L̂i must
+	// set it: appending a root, accepting a repetition (acceptRep) or an
+	// alternation (generalizeAlt), and rewriting a literal into classes
+	// (charGen). Demoting a hole (rep→const, alt→rep) leaves L̂i as it was,
+	// because toRex already reads a hole as its literal.
 	matcher      *rex.Matcher
 	matcherDirty bool
 	// known holds the current matcher's membership answers for the checks
@@ -49,7 +64,7 @@ type learner struct {
 	spanClock time.Time
 }
 
-// accepts answers one membership check through the cache, mapping the
+// accepts answers one membership check through the memo, mapping the
 // verdict to the boolean the scans decide on (Crash and Timeout are
 // rejections, as in the paper's "program reports an error" reading). An
 // oracle error or cancellation trips oracleErr and reads as false — the
@@ -59,29 +74,63 @@ func (l *learner) accepts(s string) bool {
 	if l.oracleErr != nil {
 		return false
 	}
-	v, err := l.cached.Check(l.ctx, s)
+	v, ok := l.memo[s]
+	if ok {
+		l.stats.CacheHits++
+		return v == oracle.Accept
+	}
+	l.stats.OracleQueries++
+	v, err := l.inner.Check(l.ctx, s)
 	if err != nil {
 		l.oracleErr = err
 		return false
 	}
+	l.memo[s] = v
 	return v == oracle.Accept
 }
 
-// prefetch issues a wave of independent checks through the cache's batched
-// bulk path, so the sequential decision scan that follows answers from
-// memory. Speculative: checks past the scan's accept point cost extra
-// underlying queries but never change any decision. Callers pass only
-// checks outside L̂i (see screen), since the scan never sends members.
-// Cancellation and oracle failures inside the wave trip oracleErr; nothing
-// is cached on that path, so the failure cannot poison later answers.
+// askAll answers a wave of checks into the memo: each distinct check the
+// memo cannot answer goes to the oracle once, all of them in one bulk call
+// (concurrent when inner is the worker pool), and every repeat or
+// already-answered check counts as a cache hit. An oracle error or
+// cancellation trips oracleErr and memoizes nothing from the wave.
+func (l *learner) askAll(checks []string) {
+	ask := make([]string, 0, len(checks))
+	sent := make(map[string]struct{}, len(checks))
+	for _, c := range checks {
+		_, answered := l.memo[c]
+		if _, dup := sent[c]; answered || dup {
+			l.stats.CacheHits++
+			continue
+		}
+		sent[c] = struct{}{}
+		ask = append(ask, c)
+	}
+	if len(ask) == 0 {
+		return
+	}
+	l.stats.OracleQueries += len(ask)
+	vs, err := oracle.CheckAll(l.ctx, l.inner, ask, 1)
+	if err != nil {
+		l.oracleErr = err
+		return
+	}
+	for i, c := range ask {
+		l.memo[c] = vs[i]
+	}
+}
+
+// prefetch issues a wave of independent checks through askAll, so the
+// sequential decision scan that follows answers from the memo.
+// Speculative: checks past the scan's accept point cost extra underlying
+// queries but never change any decision. Callers pass only checks outside
+// L̂i (see screen), since the scan never sends members.
 func (l *learner) prefetch(checks []string) {
 	if l.oracleErr != nil || len(checks) <= 1 {
 		return
 	}
 	l.stats.Waves++
-	if _, err := l.cached.CheckBatch(l.ctx, checks); err != nil {
-		l.oracleErr = err
-	}
+	l.askAll(checks)
 }
 
 // screen answers membership in L̂i for a wave's checks, keeping the answers
@@ -247,7 +296,6 @@ func (l *learner) phase1(seed string) *node {
 			fresh = l.generalizeAlt(h)
 		}
 		stack = append(stack, fresh...)
-		l.matcherDirty = true
 	}
 	return root
 }

@@ -38,6 +38,6 @@ func (l *learner) emit(p Progress) {
 		return
 	}
 	p.Checks = l.stats.Checks
-	_, p.Queries = l.cached.Stats()
+	p.Queries = l.stats.OracleQueries
 	l.opts.Progress(p)
 }

@@ -10,10 +10,8 @@ import (
 // endSpan can attribute per-phase deltas without per-phase bookkeeping
 // inside the scans.
 type spanMark struct {
-	at     time.Time
-	stats  Stats
-	hits   int
-	misses int
+	at    time.Time
+	stats Stats
 }
 
 // markSpan opens a phase span. Spans are kept contiguous by starting each
@@ -28,8 +26,7 @@ func (l *learner) markSpan() spanMark {
 	if at.IsZero() {
 		at = time.Now()
 	}
-	hits, misses := l.cached.Stats()
-	return spanMark{at: at, stats: l.stats, hits: hits, misses: misses}
+	return spanMark{at: at, stats: l.stats}
 }
 
 // endSpan closes a phase span opened by markSpan and emits it through
@@ -40,7 +37,6 @@ func (l *learner) endSpan(name string, seed int, m spanMark) {
 	}
 	end := time.Now()
 	l.spanClock = end
-	hits, misses := l.cached.Stats()
 	attrs := make(map[string]float64)
 	set := func(k string, v float64) {
 		if v != 0 {
@@ -54,13 +50,14 @@ func (l *learner) endSpan(name string, seed int, m spanMark) {
 	set("merge_pairs", float64(l.stats.MergePairs-m.stats.MergePairs))
 	set("merged", float64(l.stats.Merged-m.stats.Merged))
 	set("waves", float64(l.stats.Waves-m.stats.Waves))
-	dq := misses - m.misses
-	dh := hits - m.hits
+	dq := l.stats.OracleQueries - m.stats.OracleQueries
+	dh := l.stats.CacheHits - m.stats.CacheHits
 	set("queries", float64(dq))
 	set("cache_hits", float64(dh))
 	if dq+dh > 0 {
 		// Speculation hit-rate: the fraction of this phase's checks
-		// answered from cache (prefetched by an earlier wave or deduped).
+		// answered from the memo (prefetched by an earlier wave or asked
+		// before).
 		set("speculation_hit_rate", float64(dh)/float64(dq+dh))
 	}
 	if len(attrs) == 0 {

@@ -116,12 +116,6 @@ func TestBatchConformance(t *testing.T) {
 	testBatchConformance(t, "Cached-of-Pool", func() BatchCheckOracle {
 		return NewCached(Parallel(mkInner(), 4))
 	})
-	testBatchConformance(t, "Counting", func() BatchCheckOracle {
-		return NewCounting(mkInner())
-	})
-	testBatchConformance(t, "Counting-of-Pool", func() BatchCheckOracle {
-		return NewCounting(Parallel(mkInner(), 4))
-	})
 	if !testing.Short() {
 		testBatchConformance(t, "Exec", func() BatchCheckOracle {
 			return &Exec{Argv: []string{"grep", "-q", "a"}, Workers: 4}
@@ -329,14 +323,5 @@ func TestPoolErrorStopsDispatch(t *testing.T) {
 	}
 	if n := calls.Load(); n >= 1000 {
 		t.Fatalf("error did not stop dispatch: %d calls", n)
-	}
-}
-
-func TestCountingBatch(t *testing.T) {
-	c := NewCounting(Func(hasA))
-	c.AcceptsBatch([]string{"a", "b", "c"})
-	c.Accepts("d")
-	if c.Queries() != 4 {
-		t.Fatalf("Queries = %d, want 4", c.Queries())
 	}
 }

@@ -1,17 +1,17 @@
 // Package oracle defines the membership-oracle abstraction of §2: blackbox
 // access to a program answering "is this input valid?". It also provides the
-// wrappers the learner and the evaluation need — caching, query counting,
-// batching, worker-pool parallelism — and an oracle that executes an
-// external command, which is how the CLI treats a real program binary
-// exactly as the paper does (run the program, valid iff it does not report
-// an error).
+// wrappers the learner and the evaluation need — batching, worker-pool
+// parallelism, a concurrent verdict cache, retries, fault injection — and
+// an oracle that executes an external command, which is how the CLI treats
+// a real program binary exactly as the paper does (run the program, valid
+// iff it does not report an error).
 //
 // Oracle queries dominate GLADE's cost (§4.3): every candidate
 // generalization, merge check, and character-generalization probe is one
-// blackbox program run. The learner therefore issues independent checks as
-// waves through the batched bulk path; composing
-// Cached → Parallel → Counting → <program> turns each wave into bounded
-// concurrent program runs with per-key deduplication.
+// blackbox program run. The learner therefore memoizes verdicts itself and
+// issues independent checks as waves through the batched bulk path;
+// Parallel → <program> turns each wave into bounded concurrent program
+// runs.
 //
 // # The v2 contract: verdicts and context
 //
@@ -277,12 +277,12 @@ type cacheShard struct {
 	miss     int
 }
 
-// Cached memoizes oracle verdicts. The learner issues many repeated queries
-// (identical checks recur across candidates), so callers typically wrap
-// their oracle in Cached before learning. Cached is safe for concurrent
-// use: the memo is sharded across lock stripes, and concurrent misses on
-// the same key are deduplicated — exactly one underlying query is issued
-// and every waiter receives its answer.
+// Cached memoizes oracle verdicts for callers that share one oracle across
+// goroutines. core.Learn does not need it: the learner keeps its own
+// verdict memo, touched only by the learning goroutine. Cached is safe for
+// concurrent use: the memo is sharded across lock stripes, and concurrent
+// misses on the same key are deduplicated — exactly one underlying query
+// is issued and every waiter receives its answer.
 //
 // Only verdicts are memoized. A query that fails with an error (oracle
 // broken, ctx cancelled) is never cached: cancellation artifacts must not
@@ -468,49 +468,6 @@ func (c *Cached) Stats() (hits, misses int) {
 		sh.mu.Unlock()
 	}
 	return hits, misses
-}
-
-// Counting counts queries to the underlying oracle; the evaluation reports
-// query budgets with it. Counting is safe for concurrent use and forwards
-// the bulk path of its inner oracle.
-type Counting struct {
-	inner CheckOracle
-	mu    sync.Mutex
-	n     int
-}
-
-// NewCounting wraps inner with query counting.
-func NewCounting(inner CheckOracle) *Counting { return &Counting{inner: inner} }
-
-// Check implements CheckOracle.
-func (c *Counting) Check(ctx context.Context, input string) (Verdict, error) {
-	c.mu.Lock()
-	c.n++
-	c.mu.Unlock()
-	return c.inner.Check(ctx, input)
-}
-
-// CheckBatch implements BatchCheckOracle, forwarding to the inner oracle's
-// bulk path when it has one.
-func (c *Counting) CheckBatch(ctx context.Context, inputs []string) ([]Verdict, error) {
-	c.mu.Lock()
-	c.n += len(inputs)
-	c.mu.Unlock()
-	return CheckAll(ctx, c.inner, inputs, 1)
-}
-
-// Accepts implements the v1 Oracle contract on top of Check: errors read
-// as rejection.
-func (c *Counting) Accepts(input string) bool { return legacyAccepts(c, input) }
-
-// AcceptsBatch implements the v1 BatchOracle contract on top of CheckBatch.
-func (c *Counting) AcceptsBatch(inputs []string) []bool { return legacyAcceptsBatch(c, inputs) }
-
-// Queries returns the number of queries issued so far.
-func (c *Counting) Queries() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n
 }
 
 // Exec is an oracle that runs an external command per query, feeding the

@@ -153,16 +153,6 @@ func TestCachedBatchErrorNotMemoized(t *testing.T) {
 	}
 }
 
-func TestCounting(t *testing.T) {
-	o := NewCounting(Func(func(s string) bool { return true }))
-	for i := 0; i < 7; i++ {
-		o.Accepts("x")
-	}
-	if o.Queries() != 7 {
-		t.Fatalf("Queries = %d", o.Queries())
-	}
-}
-
 func TestExecTrueFalse(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exec oracle spawns processes")
