@@ -52,13 +52,16 @@ bench:
 
 # Longer local runs of the native fuzz targets that lock down the
 # recognition ladder (differential verdicts across all rungs), the
-# grammar wire format (Unmarshal/Marshal/Compile round trip) and the
-# learner's substitution table (differential against Match). CI runs the
-# same targets at a 30s smoke budget; override with FUZZTIME=10m etc.
+# grammar wire format (Unmarshal/Marshal/Compile round trip), the
+# generator's flat derivation (sample-and-splice against a from-scratch
+# recomputation) and the learner's substitution table (differential
+# against Match). CI runs the same targets at a 30s smoke budget;
+# override with FUZZTIME=10m etc.
 FUZZTIME ?= 2m
 fuzz:
 	go test ./internal/cfg -run='^$$' -fuzz='^FuzzAcceptsDifferential$$' -fuzztime=$(FUZZTIME)
 	go test ./internal/cfg -run='^$$' -fuzz='^FuzzCompileRoundTrip$$' -fuzztime=$(FUZZTIME)
+	go test ./internal/cfg -run='^$$' -fuzz='^FuzzDerivSplice$$' -fuzztime=$(FUZZTIME)
 	go test ./internal/rex -run='^$$' -fuzz='^FuzzSubstitutions$$' -fuzztime=$(FUZZTIME)
 
 # Chaos smoke for the fault-tolerant oracle stack: learn sed and xml

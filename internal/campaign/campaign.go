@@ -532,7 +532,8 @@ func (c *Campaign) maybeRefresh(ctx context.Context) {
 	}
 	c.logf("campaign: refreshing grammar with %d accept flips", len(flips))
 	// Learning through the timer keeps refresh queries in the report's
-	// oracle stats. core.Learn adds its own cache and worker pool on top.
+	// oracle stats. core.Learn adds its own verdict memo and, at
+	// Workers > 1, its own worker pool on top.
 	res, err := core.Learn(ctx, seeds, c.timer, opts)
 	if err != nil {
 		c.logf("campaign: refresh failed, keeping current grammar: %v", err)

@@ -23,9 +23,9 @@ import (
 // pointer chasing, no map lookups, and no per-call bookkeeping
 // allocations. A Compiled is immutable after Compile (except MaxDepth,
 // which callers may set before sharing it) and safe for concurrent use:
-// Accepts, AcceptsAll, Sample, and SampleDeriv may all be called from any
-// number of goroutines, with per-call scratch state drawn from an
-// internal sync.Pool.
+// Accepts, AcceptsAll, Sample, and SampleInto (each caller with its own
+// Derivation) may all be called from any number of goroutines, with
+// per-call scratch state drawn from an internal sync.Pool.
 type Compiled struct {
 	start int32
 	names []string // nonterminal names, for error messages only

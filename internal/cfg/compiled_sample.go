@@ -100,28 +100,34 @@ func (c *Compiled) appendSample(buf []byte, rng *rand.Rand, nt int32, budget int
 	return buf
 }
 
-// SampleDeriv draws a random derivation tree from nonterminal nt — the
-// grammar fuzzer's subtree-resampling primitive. The tree necessarily
-// allocates; Deriv.Prod is the production's index within nt, matching
-// Grammar.Prods[nt].
-func (c *Compiled) SampleDeriv(rng *rand.Rand, nt int) *Deriv {
+// SampleInto draws a random derivation from nonterminal nt into d,
+// replacing d's contents — the grammar fuzzer's subtree-resampling
+// primitive. It consumes the rng exactly as SampleFrom does, so d's text
+// is the string SampleFrom would have returned; it allocates only when d
+// must grow.
+func (c *Compiled) SampleInto(d *Derivation, rng *rand.Rand, nt int) {
 	if c.minDepth[nt] == unboundedCost {
 		panic("cfg: sampling from unproductive nonterminal " + c.names[nt])
 	}
-	return c.expandDeriv(rng, int32(nt), c.MaxDepth)
+	d.nodes, d.text = d.nodes[:0], d.text[:0]
+	c.appendDeriv(d, rng, int32(nt), c.MaxDepth)
 }
 
-func (c *Compiled) expandDeriv(rng *rand.Rand, nt int32, budget int) *Deriv {
+// appendDeriv is appendSample that also records each expanded node, in
+// preorder, with its subtree size and span.
+func (c *Compiled) appendDeriv(d *Derivation, rng *rand.Rand, nt int32, budget int) {
 	p := c.pickProd(rng, nt, budget)
-	d := &Deriv{NT: int(nt), Prod: int(p - c.ntProd[nt]), Parts: make([]DerivPart, c.prodLen(p))}
+	k := len(d.nodes)
+	d.nodes = append(d.nodes, derivNode{nt: nt, prod: p - c.ntProd[nt], lo: int32(len(d.text))})
 	for i := c.prodOff[p]; i < c.prodOff[p+1]; i++ {
 		s := c.arena[i]
 		if s >= 0 {
-			d.Parts[i-c.prodOff[p]] = DerivPart{Child: c.expandDeriv(rng, s, budget-1)}
+			c.appendDeriv(d, rng, s, budget-1)
 			continue
 		}
 		set := c.classes[^s]
-		d.Parts[i-c.prodOff[p]] = DerivPart{Byte: set.Pick(rng.Intn(set.Len()))}
+		d.text = append(d.text, set.Pick(rng.Intn(set.Len())))
 	}
-	return d
+	d.nodes[k].size = int32(len(d.nodes) - k)
+	d.nodes[k].hi = int32(len(d.text))
 }

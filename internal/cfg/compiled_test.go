@@ -60,13 +60,14 @@ func assertEngineAgreement(t *testing.T, name string, g *cfg.Grammar, inputs []s
 	}
 }
 
-// assertSamplerIdentity checks that Compiled.Sample and Sampler.Sample
-// consume the rng identically: same seeds in, same strings out. It also
-// checks the in-language property — every sampled string must be accepted
-// by both engines. depth is the sampling budget: learned grammars use
-// DefaultSampleDepth, but arbitrary recursive grammars need a small budget
-// (depth bounds a sample tree's height, not its width, and a random
-// super-critical grammar can fill the whole 4^depth frontier).
+// assertSamplerIdentity checks that Compiled.Sample, Compiled.SampleInto
+// and Sampler.Sample consume the rng identically: same seeds in, same
+// strings out. It also checks the in-language property — every sampled
+// string must be accepted by both engines. depth is the sampling budget:
+// learned grammars use DefaultSampleDepth, but arbitrary recursive
+// grammars need a small budget (depth bounds a sample tree's height, not
+// its width, and a random super-critical grammar can fill the whole
+// 4^depth frontier).
 func assertSamplerIdentity(t *testing.T, name string, g *cfg.Grammar, n, depth int) []string {
 	t.Helper()
 	if !g.Productive()[g.Start] {
@@ -89,12 +90,13 @@ func assertSamplerIdentity(t *testing.T, name string, g *cfg.Grammar, n, depth i
 		}
 		out = append(out, a)
 	}
-	// SampleDeriv must agree with Sampler.SampleDeriv rendering too.
+	// A derivation sampled into the arena must produce the same text.
 	rngA, rngB = rand.New(rand.NewSource(11)), rand.New(rand.NewSource(11))
+	var d cfg.Derivation
 	for i := 0; i < n/4+1; i++ {
-		a := sm.SampleDeriv(rngA, g.Start).Render()
-		b := comp.SampleDeriv(rngB, g.Start).Render()
-		if a != b {
+		a := sm.SampleFrom(rngA, g.Start)
+		comp.SampleInto(&d, rngB, g.Start)
+		if b := string(d.Text()); a != b {
 			t.Fatalf("%s: deriv sample %d diverged: Sampler %q, Compiled %q", name, i, a, b)
 		}
 	}

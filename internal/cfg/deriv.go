@@ -1,129 +1,100 @@
 package cfg
 
-import (
-	"math/rand"
-	"strings"
-)
+import "slices"
 
-// Deriv is a concrete derivation tree whose leaves carry the produced
-// bytes. Unlike Tree (which indexes spans of a fixed input), Deriv owns its
-// text and supports splicing — the representation the grammar-based fuzzer
-// mutates.
-type Deriv struct {
-	NT    int
-	Prod  int
-	Parts []DerivPart
+// Derivation is a derivation tree laid out flat in preorder over one byte
+// buffer holding the produced text — the representation the grammar-based
+// fuzzer mutates. Node k is the k-th nonterminal node of a preorder walk:
+// its subtree is nodes [k, k+Size(k)) and produces Text()[lo:hi] for
+// (lo, hi) = Span(k). Picking a node is an index, rendering is the buffer,
+// and replacing a subtree is a splice (Splice).
+//
+// The zero value is an empty derivation; Compiled.SampleInto and CopyFrom
+// fill one in place, reusing its storage, so a caller that keeps its
+// Derivations mutates without allocating.
+type Derivation struct {
+	nodes []derivNode
+	text  []byte
 }
 
-// DerivPart is one right-hand-side position: either a child derivation (for
-// a nonterminal symbol) or a produced terminal byte.
-type DerivPart struct {
-	Child *Deriv // nil for terminal positions
-	Byte  byte
+// derivNode is one nonterminal node: its symbol, its production's index
+// within that symbol (as in Grammar.Prods[nt]), the node count of its
+// subtree including itself, and the span of text it produces.
+type derivNode struct {
+	nt, prod, size, lo, hi int32
 }
 
-// Render returns the string this derivation produces.
-func (d *Deriv) Render() string {
-	var b strings.Builder
-	d.render(&b)
-	return b.String()
-}
-
-func (d *Deriv) render(b *strings.Builder) {
-	for _, p := range d.Parts {
-		if p.Child != nil {
-			p.Child.render(b)
-		} else {
-			b.WriteByte(p.Byte)
-		}
-	}
-}
-
-// Clone deep-copies the derivation.
-func (d *Deriv) Clone() *Deriv {
-	out := &Deriv{NT: d.NT, Prod: d.Prod, Parts: make([]DerivPart, len(d.Parts))}
-	for i, p := range d.Parts {
-		if p.Child != nil {
-			out.Parts[i] = DerivPart{Child: p.Child.Clone()}
-		} else {
-			out.Parts[i] = p
-		}
-	}
-	return out
-}
-
-// Nodes appends all derivation nodes (preorder) to dst and returns it.
-func (d *Deriv) Nodes(dst []*Deriv) []*Deriv {
-	dst = append(dst, d)
-	for _, p := range d.Parts {
-		if p.Child != nil {
-			dst = p.Child.Nodes(dst)
-		}
-	}
-	return dst
-}
-
-// DerivFromTree converts a parse tree of input (from Parser.Parse) into an
-// owned derivation.
-func DerivFromTree(g *Grammar, t *Tree, input string) *Deriv {
-	prod := g.Prods[t.NT][t.Prod]
-	d := &Deriv{NT: t.NT, Prod: t.Prod, Parts: make([]DerivPart, len(prod))}
-	pos := t.Lo
-	ki := 0
-	for i, sym := range prod {
-		if sym.IsNT() {
-			kid := t.Kids[ki]
-			ki++
-			d.Parts[i] = DerivPart{Child: DerivFromTree(g, kid, input)}
-			pos = kid.Hi
-		} else {
-			d.Parts[i] = DerivPart{Byte: input[pos]}
-			pos++
-		}
-	}
+// Flatten lays out the parse tree t of input (from Parser.Parse) as a
+// Derivation producing input[t.Lo:t.Hi].
+func (t *Tree) Flatten(input string) *Derivation {
+	d := &Derivation{text: []byte(input[t.Lo:t.Hi])}
+	d.appendTree(t, t.Lo)
 	return d
 }
 
-// SampleDeriv draws a random derivation from nonterminal nt, using the same
-// uniform production choice and depth budgeting as Sample.
-func (s *Sampler) SampleDeriv(rng *rand.Rand, nt int) *Deriv {
-	if s.minDepth[nt] == unbounded {
-		panic("cfg: sampling from unproductive nonterminal " + s.g.Names[nt])
+func (d *Derivation) appendTree(t *Tree, base int) {
+	k := len(d.nodes)
+	d.nodes = append(d.nodes, derivNode{nt: int32(t.NT), prod: int32(t.Prod), lo: int32(t.Lo - base), hi: int32(t.Hi - base)})
+	for _, kid := range t.Kids {
+		d.appendTree(kid, base)
 	}
-	return s.expandDeriv(rng, nt, s.MaxDepth)
+	d.nodes[k].size = int32(len(d.nodes) - k)
 }
 
-func (s *Sampler) expandDeriv(rng *rand.Rand, nt, budget int) *Deriv {
-	prods := s.g.Prods[nt]
-	var fits []int
-	for pi := range prods {
-		if s.minCost[nt][pi] <= budget {
-			fits = append(fits, pi)
+// Len returns the number of nodes.
+func (d *Derivation) Len() int { return len(d.nodes) }
+
+// NT returns node k's nonterminal.
+func (d *Derivation) NT(k int) int { return int(d.nodes[k].nt) }
+
+// Prod returns the index of node k's production within Grammar.Prods[NT(k)].
+func (d *Derivation) Prod(k int) int { return int(d.nodes[k].prod) }
+
+// Size returns the number of nodes in node k's subtree, itself included.
+func (d *Derivation) Size(k int) int { return int(d.nodes[k].size) }
+
+// Span returns the bounds of the text node k produces, Text()[lo:hi].
+func (d *Derivation) Span(k int) (lo, hi int) { return int(d.nodes[k].lo), int(d.nodes[k].hi) }
+
+// Text returns the string the derivation produces. The slice aliases d's
+// buffer and is valid until d next changes.
+func (d *Derivation) Text() []byte { return d.text }
+
+// CopyFrom makes d a copy of src, reusing d's storage.
+func (d *Derivation) CopyFrom(src *Derivation) {
+	d.nodes = append(d.nodes[:0], src.nodes...)
+	d.text = append(d.text[:0], src.text...)
+}
+
+// Splice replaces node k's subtree with the whole of src, whose root must
+// derive NT(k) for d to stay a derivation. Every ancestor of k grows by
+// the difference in nodes and text, and every later span shifts by the
+// difference in text.
+func (d *Derivation) Splice(k int, src *Derivation) {
+	old := d.nodes[k]
+	dNodes := int32(len(src.nodes)) - old.size
+	dText := int32(len(src.text)) - (old.hi - old.lo)
+	// Walk down from the root: a subtree ending at or before k is skipped
+	// whole; one containing k is an ancestor, so grow it and descend.
+	for j := 0; j < k; {
+		n := &d.nodes[j]
+		if j+int(n.size) <= k {
+			j += int(n.size)
+			continue
 		}
+		n.size += dNodes
+		n.hi += dText
+		j++
 	}
-	if len(fits) == 0 {
-		best := unbounded
-		for pi := range prods {
-			if s.minCost[nt][pi] < best {
-				best = s.minCost[nt][pi]
-			}
-		}
-		for pi := range prods {
-			if s.minCost[nt][pi] == best {
-				fits = append(fits, pi)
-			}
-		}
+	d.text = slices.Replace(d.text, int(old.lo), int(old.hi), src.text...)
+	d.nodes = slices.Replace(d.nodes, k, k+int(old.size), src.nodes...)
+	end := k + len(src.nodes)
+	for i := k; i < end; i++ {
+		d.nodes[i].lo += old.lo
+		d.nodes[i].hi += old.lo
 	}
-	pi := fits[rng.Intn(len(fits))]
-	prod := prods[pi]
-	d := &Deriv{NT: nt, Prod: pi, Parts: make([]DerivPart, len(prod))}
-	for i, sym := range prod {
-		if sym.IsNT() {
-			d.Parts[i] = DerivPart{Child: s.expandDeriv(rng, sym.NT, budget-1)}
-		} else {
-			n := sym.Set.Len()
-			d.Parts[i] = DerivPart{Byte: sym.Set.Pick(rng.Intn(n))}
-		}
+	for i := end; i < len(d.nodes); i++ {
+		d.nodes[i].lo += dText
+		d.nodes[i].hi += dText
 	}
-	return d
 }

@@ -22,7 +22,7 @@ import (
 
 // loadGolden parses one pinned learned grammar from the core package's
 // golden testdata.
-func loadGolden(t *testing.T, name string) *cfg.Grammar {
+func loadGolden(t testing.TB, name string) *cfg.Grammar {
 	t.Helper()
 	text, err := os.ReadFile(filepath.Join("..", "core", "testdata", name))
 	if err != nil {

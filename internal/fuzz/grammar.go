@@ -2,6 +2,7 @@ package fuzz
 
 import (
 	"math/rand"
+	"sync"
 
 	"glade/internal/cfg"
 	"glade/internal/programs"
@@ -12,29 +13,38 @@ import (
 // tree of a random seed and undergoes n ∈ [0,50] subtree resamplings —
 // choose a random tree node labeled A and replace it with a fresh sample
 // from PL(Ĉ,A).
+//
+// Seed trees are flattened once into cfg.Derivations, which Next copies
+// into pooled scratch before mutating, so concurrent Next calls with
+// distinct rngs are safe.
 type Grammar struct {
-	g        *cfg.Grammar
 	compiled *cfg.Compiled
-	trees    []*cfg.Deriv
+	trees    []*cfg.Derivation
 	// fallback seeds that did not parse under the grammar (possible when
 	// learning timed out); they are emitted unmodified occasionally.
 	unparsed []string
+	scratch  sync.Pool // *nextScratch
 }
+
+// nextScratch is one Next call's working space: the input being mutated
+// and the fresh subtree sampled for the next splice.
+type nextScratch struct{ d, fresh cfg.Derivation }
 
 // NewGrammar builds the fuzzer. Seeds that fail to parse under g are kept
 // as unmutatable fallbacks; at least one seed must parse or be present.
 //
 // The fuzzer compiles g once (cfg.Compile) and runs every subtree
 // resample on the compiled tables; seed parsing stays on the chart
-// parser, which is what tree extraction needs anyway. The Compiled is
-// shared with callers (see Compiled) so a grammar's consumers — fuzzer,
-// campaign triage, service generation — build it exactly once.
+// parser, which is what tree extraction needs anyway. Callers that need
+// membership checks against the same grammar can reuse the Compiled (see
+// Compiled) instead of building another.
 func NewGrammar(g *cfg.Grammar, seeds []string) *Grammar {
-	f := &Grammar{g: g, compiled: cfg.Compile(g)}
+	f := &Grammar{compiled: cfg.Compile(g)}
+	f.scratch.New = func() any { return new(nextScratch) }
 	parser := cfg.NewParser(g)
 	for _, s := range seeds {
 		if t, err := parser.Parse(s); err == nil {
-			f.trees = append(f.trees, cfg.DerivFromTree(g, t, s))
+			f.trees = append(f.trees, t.Flatten(s))
 		} else {
 			f.unparsed = append(f.unparsed, s)
 		}
@@ -56,7 +66,8 @@ func (f *Grammar) ParsedSeeds() int { return len(f.trees) }
 // Observe implements Fuzzer (the grammar fuzzer ignores feedback).
 func (f *Grammar) Observe(string, programs.Result) {}
 
-// Next implements Fuzzer.
+// Next implements Fuzzer. Each §8.3 modification replaces a uniformly
+// random node with a fresh sample from its nonterminal.
 func (f *Grammar) Next(rng *rand.Rand) string {
 	if len(f.trees) == 0 {
 		if len(f.unparsed) == 0 {
@@ -64,41 +75,15 @@ func (f *Grammar) Next(rng *rand.Rand) string {
 		}
 		return f.unparsed[rng.Intn(len(f.unparsed))]
 	}
-	d := f.trees[rng.Intn(len(f.trees))].Clone()
+	s := f.scratch.Get().(*nextScratch)
+	s.d.CopyFrom(f.trees[rng.Intn(len(f.trees))])
 	n := rng.Intn(MaxMutations + 1)
 	for k := 0; k < n; k++ {
-		d = f.mutate(rng, d)
+		at := rng.Intn(s.d.Len())
+		f.compiled.SampleInto(&s.fresh, rng, s.d.NT(at))
+		s.d.Splice(at, &s.fresh)
 	}
-	return d.Render()
-}
-
-// mutate performs one §8.3 modification: replace a uniformly random node
-// with a fresh sample from its nonterminal.
-func (f *Grammar) mutate(rng *rand.Rand, root *cfg.Deriv) *cfg.Deriv {
-	nodes := root.Nodes(nil)
-	target := nodes[rng.Intn(len(nodes))]
-	fresh := f.compiled.SampleDeriv(rng, target.NT)
-	if target == root {
-		return fresh
-	}
-	// Find and replace the target in its parent.
-	var walk func(d *cfg.Deriv) bool
-	walk = func(d *cfg.Deriv) bool {
-		for i := range d.Parts {
-			c := d.Parts[i].Child
-			if c == nil {
-				continue
-			}
-			if c == target {
-				d.Parts[i].Child = fresh
-				return true
-			}
-			if walk(c) {
-				return true
-			}
-		}
-		return false
-	}
-	walk(root)
-	return root
+	out := string(s.d.Text())
+	f.scratch.Put(s)
+	return out
 }

@@ -31,9 +31,10 @@ const maxFuzzerEntries = 64
 // Compiled then serves both sampling and membership for that grammar.
 // Generation itself is cheap and runs concurrently, each request drawing
 // a private rng from a per-grammar sync.Pool. fuzz.Grammar is safe for
-// concurrent Next calls with distinct rngs: seed trees are deep-cloned
-// before mutation and the compiled engine is read-only after
-// construction, with per-call scratch state drawn from its own pool.
+// concurrent Next calls with distinct rngs: its flattened seed trees are
+// read-only, each call copies one into scratch drawn from the fuzzer's
+// own pool before mutating it, and the compiled engine is read-only after
+// construction.
 type fuzzerPool struct {
 	store *Store
 
