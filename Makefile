@@ -23,32 +23,20 @@ lint:
 		echo "gofmt needed on:" >&2; echo "$$unformatted" >&2; exit 1; \
 	fi
 	go vet ./...
-	go run ./scripts/doccheck . internal/service internal/fuzz internal/campaign internal/oracle internal/oracle/registry internal/metrics internal/core internal/telemetry internal/cluster internal/loadgen
+	go run ./scripts/doccheck . internal/service internal/fuzz internal/campaign internal/oracle internal/oracle/registry internal/metrics internal/core internal/telemetry internal/cluster
 	go run ./scripts/apilock
 	./scripts/linkcheck.sh
 
-# One pass over every benchmark — the paper's figures at reduced scale plus
-# the parallel-engine speedup and the compiled-parser comparison — as a
-# smoke test, then machine-readable emissions so the repo accumulates
-# BENCH_*.json trajectory artifacts. parsecheck fails the run if the
-# compiled engine ever regresses below the map-based baseline, and
-# oraclecheck if the in-process oracle registry loses its >=50x edge over
-# exec oracles, and telemetrycheck if the observability stack or the
-# resilient wrapper's no-fault fast path costs more than a few percent of
-# bare oracle dispatch, and servecheck if the sharded serving stack's
-# batch-check path loses throughput, grows a fat latency tail, or errors
-# under closed-loop load. Full runs: cmd/glade-bench.
+# One pass over every Go benchmark (the paper's figures at reduced scale
+# and the package microbenchmarks) as a smoke test, then one short run of
+# each perfbench workload (perfbench/run.sh). perfbench exits 1 on any
+# failed operation or failed output check; its timings are not gated
+# here. Full paper-scale figures: cmd/glade-bench.
 bench:
 	go test -run=NONE -bench=. -benchtime=1x ./...
-	go run ./cmd/glade-bench -quick -fig speedup -qdelay 50us -json BENCH_speedup.json
-	go run ./cmd/glade-bench -quick -fig parse -json BENCH_parse.json
-	go run ./scripts/parsecheck BENCH_parse.json
-	go run ./cmd/glade-bench -quick -fig oracle -json BENCH_oracle.json
-	go run ./scripts/oraclecheck BENCH_oracle.json
-	go run ./cmd/glade-bench -quick -fig telemetry -json BENCH_telemetry.json
-	go run ./scripts/telemetrycheck BENCH_telemetry.json
-	go run ./cmd/glade-bench -quick -fig serve -json BENCH_serve.json
-	go run ./scripts/servecheck BENCH_serve.json
+	for w in learn learn-exec serve campaign; do \
+		bash perfbench/run.sh --workload "$$w" --seed 1 --seconds 1 --trace 0 || exit 1; \
+	done
 
 # Longer local runs of the native fuzz targets that lock down the
 # recognition ladder (differential verdicts across all rungs), the

@@ -186,31 +186,6 @@ func BenchmarkAblations(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelSpeedup measures the concurrent batched oracle-query
-// engine: the sed and xml programs are learned at Workers=1 and Workers=8
-// over an oracle with a simulated per-query program-execution cost, as in
-// cmd/glade-bench -fig speedup. Reported metrics: wall-clock speedup ×100,
-// oracle throughput (queries/second), and grammar identity (1 = the
-// parallel grammar is byte-identical to the sequential one, the engine's
-// determinism guarantee).
-func BenchmarkParallelSpeedup(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := bench.Speedup(context.Background(), benchConfig(), []string{"sed", "xml"}, []int{1, 8}, 100*time.Microsecond)
-		if i == 0 {
-			for _, r := range rows {
-				suffix := sprintInt(r.Workers) + "w"
-				b.ReportMetric(r.Speedup*100, r.Program+"/"+suffix+"-speedup")
-				b.ReportMetric(r.QPS, r.Program+"/"+suffix+"-qps")
-				identical := 0.0
-				if r.Identical {
-					identical = 1
-				}
-				b.ReportMetric(identical, r.Program+"/"+suffix+"-identical")
-			}
-		}
-	}
-}
-
 func sprintInt(n int) string {
 	if n == 0 {
 		return "0"

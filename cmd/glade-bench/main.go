@@ -1,83 +1,73 @@
 // Command glade-bench regenerates every table and figure of the paper's
-// evaluation (§8). Each figure prints as a text table; see EXPERIMENTS.md
-// for the expected shapes.
+// evaluation (§8): Figures 4–8 and the design-choice ablations. Each
+// figure prints as a text table.
 //
 // Usage:
 //
-//	glade-bench [-fig 4a|4b|4c|5|6|7a|7b|7c|8|ablations|speedup|parse|oracle|telemetry|all] [flags]
+//	glade-bench [-fig 4a|4b|4c|5|6|7a|7b|7c|8|ablations|all] [flags]
 //
 // The default flags match the paper's scale (50 seeds, 1000 evaluation
 // samples, 50,000 fuzzing samples, 300 s learner timeout); use -quick for a
-// reduced run that finishes in well under a minute.
+// reduced run that finishes in well under a minute. An unknown -fig name
+// prints the valid names and exits 2.
 //
-// -fig parse measures the compiled-grammar engine (cfg.Compiled) against
-// the map-based Earley parser and pointer-walking sampler on grammars
-// learned from the sed and xml programs: membership throughput (MB/s and
-// ns/query), sampling throughput, allocations per operation, and the
-// old-vs-new ratio, with verdict agreement re-checked over the whole
-// corpus. With -json the rows land in BENCH_parse.json, which
-// scripts/parsecheck validates in CI.
-//
-// -fig oracle measures the in-process oracle registry against an
-// equivalent external-command oracle: the same JSON-membership workload
-// runs through builtin:json and through this binary re-executed as a
-// stdin oracle (so both sides run the identical validator and the gap is
-// pure process overhead), at several worker counts. With -json the rows
-// land in BENCH_oracle.json, which scripts/oraclecheck validates in CI.
-//
-// -fig telemetry measures the observability stack's cost on the oracle hot
-// path: the same builtin:json workload dispatched through a bare worker
-// pool and through the metrics.QueryTimer + telemetry histogram stack every
-// glade-serve job runs under, at several worker counts, min-of-repetitions.
-// With -json the rows land in BENCH_telemetry.json, which
-// scripts/telemetrycheck validates in CI (instrumentation must stay within
-// a few percent of bare dispatch).
-//
-// -fig speedup measures the concurrent batched oracle-query engine: it
-// learns the sed and xml programs at Workers=1 and Workers=N over an
-// oracle carrying a per-query delay (-qdelay) that simulates the
-// subprocess-execution cost of the paper's real setting, reports wall-clock
-// speedup and oracle throughput, and verifies the synthesized grammars are
-// byte-identical. -workers also parallelizes the oracle queries of every
-// other figure's learning runs; their grammars and scores are identical
-// either way, but the reported query counts grow with speculation, so the
-// default stays sequential.
+// -workers parallelizes the oracle queries of every figure's learning
+// runs; their grammars and scores are identical either way, but the
+// reported query counts grow with speculation, so the default stays
+// sequential. Performance is measured by perfbench (perfbench/run.sh),
+// not here.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
+	"slices"
+	"strings"
 	"syscall"
 	"time"
 
 	"glade/internal/bench"
-	servebench "glade/internal/bench/serve"
-	"glade/internal/oracle"
-	_ "glade/internal/oracle/registry" // named oracles for -fig oracle and -stdin-oracle
 )
 
+// figures lists every -fig name in the order -fig all runs them.
+var figures = []struct {
+	name string
+	run  func(context.Context, bench.Config)
+}{
+	{"4a", fig4a},
+	{"4b", fig4b},
+	{"4c", fig4c},
+	{"5", fig5},
+	{"6", fig6},
+	{"7a", fig7a},
+	{"7b", fig7b},
+	{"7c", fig7c},
+	{"8", fig8},
+	{"ablations", ablations},
+}
+
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 4a 4b 4c 5 6 7a 7b 7c 8 ablations speedup parse oracle telemetry serve all")
+	names := make([]string, 0, len(figures)+1)
+	for _, f := range figures {
+		names = append(names, f.name)
+	}
+	names = append(names, "all")
+	fig := flag.String("fig", "all", "figure to regenerate: "+strings.Join(names, " "))
 	seeds := flag.Int("seeds", 50, "seed inputs per target (Figure 4)")
 	eval := flag.Int("eval", 1000, "samples per precision/recall estimate")
 	fuzzN := flag.Int("samples", 50000, "samples per fuzzer (Figure 7)")
 	timeout := flag.Duration("timeout", 300*time.Second, "per-learner timeout")
 	quick := flag.Bool("quick", false, "reduced-scale run (seeds=10 eval=200 samples=4000)")
 	seed := flag.Int64("seed", 1, "random seed")
-	workers := flag.Int("workers", 0, "concurrent oracle queries (0 or 1 = sequential; also the upper point of -fig speedup). Sequential by default so the query-count columns match the paper's cost model — speculative prefetching issues extra queries")
+	workers := flag.Int("workers", 0, "concurrent oracle queries (0 or 1 = sequential). Sequential by default so the query-count columns match the paper's cost model — speculative prefetching issues extra queries")
 	jsonOut := flag.String("json", "", "also write machine-readable results (program, queries, wall-clock, workers) to this file")
-	flag.DurationVar(&qdelay, "qdelay", 200*time.Microsecond, "simulated per-query program-execution cost in -fig speedup")
-	stdinOracle := flag.String("stdin-oracle", "", "internal: act as an exec oracle for the named builtin — read stdin, exit 0 iff it is a member (used by -fig oracle as its subprocess baseline)")
-	flag.IntVar(&serveClients, "serve-clients", 8, "closed-loop client count for -fig serve")
-	flag.DurationVar(&serveDuration, "serve-duration", 3*time.Second, "load duration per cluster size for -fig serve (-quick halves it)")
 	flag.Parse()
-	if *stdinOracle != "" {
-		runStdinOracle(*stdinOracle)
-		return
+	if !slices.Contains(names, *fig) {
+		fmt.Fprintf(os.Stderr, "glade-bench: unknown -fig %q; valid: %s\n", *fig, strings.Join(names, " "))
+		os.Exit(2)
 	}
 	if *jsonOut != "" {
 		report = &jsonReport{Results: []jsonRow{}}
@@ -86,11 +76,6 @@ func main() {
 	c := bench.Config{Seeds: *seeds, EvalSamples: *eval, FuzzSamples: *fuzzN, Timeout: *timeout, RandSeed: *seed, Workers: *workers}
 	if *quick {
 		c.Seeds, c.EvalSamples, c.FuzzSamples = 10, 200, 4000
-		serveDuration /= 2
-	}
-	speedupWorkers = *workers
-	if speedupWorkers < 2 {
-		speedupWorkers = 8
 	}
 
 	// SIGINT/SIGTERM cancel the remaining learning runs; figures already
@@ -98,69 +83,14 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	run := func(name string, f func(context.Context, bench.Config)) {
-		if *fig == name || *fig == "all" {
-			f(ctx, c)
+	for _, f := range figures {
+		if *fig == f.name || *fig == "all" {
+			f.run(ctx, c)
 		}
 	}
-	run("4a", fig4a)
-	run("4b", fig4b)
-	run("4c", fig4c)
-	run("5", fig5)
-	run("6", fig6)
-	run("7a", fig7a)
-	run("7b", fig7b)
-	run("7c", fig7c)
-	run("8", fig8)
-	run("ablations", ablations)
-	run("speedup", speedup)
-	run("parse", parse)
-	run("oracle", oracleFig)
-	run("telemetry", telemetryFig)
-	run("serve", serveFig)
 	if *jsonOut != "" {
 		writeReport(*jsonOut, c)
 	}
-}
-
-// qdelay and speedupWorkers configure the speedup figure (set from flags).
-var (
-	qdelay         time.Duration
-	speedupWorkers int
-)
-
-func speedup(ctx context.Context, c bench.Config) {
-	fmt.Printf("== Speedup: concurrent oracle-query engine (qdelay=%v) ==\n", qdelay)
-	fmt.Printf("%-8s %7s %8s %8s %9s %9s %12s %9s\n",
-		"program", "workers", "time(s)", "speedup", "queries", "q/s", "mean-lat", "identical")
-	rows := bench.Speedup(ctx, c, nil, []int{1, speedupWorkers}, qdelay)
-	for _, r := range rows {
-		fmt.Printf("%-8s %7d %8.2f %7.2fx %9d %9.0f %12v %9v\n",
-			r.Program, r.Workers, r.Seconds, r.Speedup, r.Queries, r.QPS,
-			r.MeanLatency.Round(time.Microsecond), r.Identical)
-	}
-	recordSpeedup(rows)
-	fmt.Println()
-}
-
-func parse(ctx context.Context, c bench.Config) {
-	fmt.Println("== Parse: recognition ladder vs map-based Earley ==")
-	rows, err := bench.Parse(ctx, c, nil)
-	fail(err)
-	fmt.Printf("%-8s %-9s %7s %10s %8s %10s %11s %9s %7s %6s %11s\n",
-		"program", "engine", "inputs", "ns/accept", "MB/s", "allocs/op", "samples/s", "s-allocs", "ratio", "agree", "dfa/vm/earl")
-	for _, r := range rows {
-		rungs := "-"
-		if r.Engine == "compiled" {
-			rungs = fmt.Sprintf("%.0f/%.0f/%.0f%%",
-				100*r.DFARejectRate, 100*r.VMShare, 100*r.EarleyShare)
-		}
-		fmt.Printf("%-8s %-9s %7d %10.0f %8.2f %10.1f %11.0f %9.1f %6.2fx %6v %11s\n",
-			r.Program, r.Engine, r.Inputs, r.NsPerAccept, r.MBps, r.AcceptAllocs,
-			r.SamplesPerSec, r.SampleAllocs, r.Ratio, r.Agree && r.RungAgree, rungs)
-	}
-	recordParse(rows)
-	fmt.Println()
 }
 
 var fig4Cache []bench.LearnerRow
@@ -270,108 +200,6 @@ func ablations(ctx context.Context, c bench.Config) {
 			r.Target, r.Variant, r.Precision, r.Recall, r.F1, r.Queries, r.Seconds)
 	}
 	fmt.Println()
-}
-
-// oracleFig benchmarks the in-process oracle registry against an exec
-// oracle running the identical validator: this binary re-executed with
-// -stdin-oracle json. The speedup column is the whole point of the
-// registry — scripts/oraclecheck gates CI on it staying large.
-func oracleFig(ctx context.Context, c bench.Config) {
-	fmt.Println("== Oracle: in-process registry vs exec subprocess (builtin:json) ==")
-	self, err := os.Executable()
-	fail(err)
-	builtinQ, execQ := 20000, 60
-	rows, err := bench.OracleBench(ctx, "json", []string{self, "-stdin-oracle", "json"},
-		[]int{1, 4, 8}, builtinQ, execQ)
-	fail(err)
-	fmt.Printf("%-8s %7s %9s %9s %11s %9s\n", "mode", "workers", "queries", "time(s)", "q/s", "speedup")
-	for _, r := range rows {
-		speedup := ""
-		if r.Speedup > 0 {
-			speedup = fmt.Sprintf("%8.0fx", r.Speedup)
-		}
-		fmt.Printf("%-8s %7d %9d %9.3f %11.0f %9s\n",
-			r.Mode, r.Workers, r.Queries, r.Seconds, r.QPS, speedup)
-	}
-	recordOracle(rows)
-	fmt.Println()
-}
-
-// telemetryFig benchmarks the wrapper stacks' cost on the oracle hot
-// path: the same builtin:json workload dispatched bare, through the
-// QueryTimer + histogram-mirror stack every service job runs under, and
-// through the retry/breaker resilient wrapper's fault-free fast path.
-// scripts/telemetrycheck gates CI on both overheads staying within a few
-// percent.
-func telemetryFig(ctx context.Context, c bench.Config) {
-	fmt.Println("== Telemetry: instrumented/resilient vs bare oracle dispatch (builtin:json) ==")
-	queries, reps := 24000, 7
-	if c.Seeds <= 10 { // -quick
-		queries, reps = 12000, 5
-	}
-	rows, err := bench.TelemetryBench(ctx, []int{1, 4}, queries, reps)
-	fail(err)
-	fmt.Printf("%-13s %7s %9s %9s %11s %10s %9s\n",
-		"mode", "workers", "queries", "time(s)", "q/s", "ns/query", "overhead")
-	for _, r := range rows {
-		overhead := ""
-		if r.Mode == "instrumented" || r.Mode == "resilient" {
-			overhead = fmt.Sprintf("%+8.2f%%", r.OverheadPct)
-		}
-		fmt.Printf("%-13s %7d %9d %9.3f %11.0f %10.0f %9s\n",
-			r.Mode, r.Workers, r.Queries, r.Seconds, r.QPS, r.NsPerQuery, overhead)
-	}
-	recordTelemetry(rows)
-	fmt.Println()
-}
-
-// serveClients and serveDuration configure the serve figure (set from
-// flags).
-var (
-	serveClients  int
-	serveDuration time.Duration
-)
-
-// serveFig load-tests glade-serve at 1 and 3 nodes: in-process clusters
-// wired through the consistent-hash router, driven by the closed-loop
-// generator with a placement-aware route function. scripts/servecheck
-// gates CI on the emitted BENCH_serve.json.
-func serveFig(ctx context.Context, c bench.Config) {
-	fmt.Printf("== Serve: sharded glade-serve under closed-loop load (%d clients, %v per size) ==\n",
-		serveClients, serveDuration)
-	rows, err := servebench.Serve(ctx, c, []int{1, 3}, serveClients, serveDuration)
-	fail(err)
-	fmt.Printf("%-6s %-9s %8s %7s %9s %9s %9s %9s %11s\n",
-		"nodes", "endpoint", "requests", "errors", "q/s", "p50(ms)", "p95(ms)", "p99(ms)", "inputs/s")
-	for _, r := range rows {
-		inputs := ""
-		if r.InputsPerSec > 0 {
-			inputs = fmt.Sprintf("%11.0f", r.InputsPerSec)
-		}
-		fmt.Printf("%-6d %-9s %8d %7d %9.0f %9.2f %9.2f %9.2f %11s\n",
-			r.Nodes, r.Endpoint, r.Requests, r.Errors, r.QPS, r.P50Ms, r.P95Ms, r.P99Ms, inputs)
-	}
-	recordServe(rows)
-	fmt.Println()
-}
-
-// runStdinOracle is the hidden exec-oracle mode -fig oracle spawns: read
-// one input from stdin, run the named builtin on it in-process, and
-// answer through the exit status like any external membership oracle.
-func runStdinOracle(name string) {
-	reg, ok := oracle.LookupNamed(oracle.SpecBuiltin, name)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "glade-bench: unknown builtin oracle %q\n", name)
-		os.Exit(2)
-	}
-	input, err := io.ReadAll(os.Stdin)
-	fail(err)
-	v, err := reg.New(0, 1).Check(context.Background(), string(input))
-	fail(err)
-	if v.Accepted() {
-		os.Exit(0)
-	}
-	os.Exit(1)
 }
 
 func fail(err error) {

@@ -7,12 +7,10 @@ import (
 	"time"
 
 	"glade/internal/bench"
-	servebench "glade/internal/bench/serve"
 )
 
-// jsonReport is the -json output: one machine-readable row per benchmark
-// measurement, so repeated runs accumulate comparable BENCH_*.json
-// trajectory artifacts across the repository's history.
+// jsonReport is the -json output: one machine-readable row per figure
+// measurement.
 type jsonReport struct {
 	GeneratedAt time.Time  `json:"generated_at"`
 	Config      jsonConfig `json:"config"`
@@ -36,54 +34,12 @@ type jsonRow struct {
 	Target    string  `json:"target,omitempty"`
 	Learner   string  `json:"learner,omitempty"`
 	Variant   string  `json:"variant,omitempty"`
-	Engine    string  `json:"engine,omitempty"`
-	Oracle    string  `json:"oracle,omitempty"`
-	Mode      string  `json:"mode,omitempty"`
-	Workers   int     `json:"workers,omitempty"`
 	Queries   int     `json:"queries,omitempty"`
-	Inputs    int     `json:"inputs,omitempty"`
 	Seconds   float64 `json:"seconds,omitempty"`
-	Speedup   float64 `json:"speedup,omitempty"`
-	QPS       float64 `json:"qps,omitempty"`
 	Precision float64 `json:"precision,omitempty"`
 	Recall    float64 `json:"recall,omitempty"`
 	F1        float64 `json:"f1,omitempty"`
-	// Parse-figure fields: membership throughput (MB/s of input and mean
-	// ns per query), allocations per membership query and per sample,
-	// sampling throughput, and the old-vs-new membership ratio.
-	MBps          float64  `json:"mbps,omitempty"`
-	NsPerAccept   float64  `json:"ns_per_accept,omitempty"`
-	AllocsPerOp   *float64 `json:"allocs_per_op,omitempty"`
-	SamplesPerSec float64  `json:"samples_per_sec,omitempty"`
-	SampleAllocs  *float64 `json:"sample_allocs_per_op,omitempty"`
-	Ratio         float64  `json:"ratio,omitempty"`
-	Agree         *bool    `json:"agree,omitempty"`
-	// Ladder fields (compiled rows): full per-rung verdict agreement and
-	// the corpus share each rung decided. Pointers so a 0% share (or a
-	// false agreement) still lands in the JSON for the CI gate.
-	RungAgree     *bool    `json:"rung_agree,omitempty"`
-	DFARejectRate *float64 `json:"dfa_reject_rate,omitempty"`
-	VMShare       *float64 `json:"vm_share,omitempty"`
-	EarleyShare   *float64 `json:"earley_share,omitempty"`
-	Identical     *bool    `json:"identical,omitempty"`
-	TimedOut      bool     `json:"timed_out,omitempty"`
-	// Telemetry-figure fields: per-query mean and the instrumented-vs-bare
-	// slowdown (pointer so a 0.00% measurement still lands in the JSON).
-	NsPerQuery  float64  `json:"ns_per_query,omitempty"`
-	OverheadPct *float64 `json:"overhead_pct,omitempty"`
-	// Serve-figure fields: cluster size, per-endpoint request/error counts
-	// and latency quantiles, and endpoint work throughput. Errors is a
-	// pointer so a clean zero-error run still lands in the JSON for
-	// scripts/servecheck to assert on.
-	Nodes        int     `json:"nodes,omitempty"`
-	Endpoint     string  `json:"endpoint,omitempty"`
-	Clients      int     `json:"clients,omitempty"`
-	Requests     int     `json:"requests,omitempty"`
-	Errors       *int    `json:"errors,omitempty"`
-	P50Ms        float64 `json:"p50_ms,omitempty"`
-	P95Ms        float64 `json:"p95_ms,omitempty"`
-	P99Ms        float64 `json:"p99_ms,omitempty"`
-	InputsPerSec float64 `json:"inputs_per_sec,omitempty"`
+	TimedOut  bool    `json:"timed_out,omitempty"`
 }
 
 // report collects rows while figures run; nil (no -json flag) collects
@@ -93,74 +49,6 @@ var report *jsonReport
 func recordRows(rows ...jsonRow) {
 	if report != nil {
 		report.Results = append(report.Results, rows...)
-	}
-}
-
-func recordSpeedup(rows []bench.SpeedupRow) {
-	for _, r := range rows {
-		ident := r.Identical
-		recordRows(jsonRow{
-			Figure: "speedup", Program: r.Program, Workers: r.Workers,
-			Queries: r.Queries, Seconds: r.Seconds, Speedup: r.Speedup,
-			QPS: r.QPS, Identical: &ident, TimedOut: r.TimedOut,
-		})
-	}
-}
-
-func recordOracle(rows []bench.OracleRow) {
-	for _, r := range rows {
-		recordRows(jsonRow{
-			Figure: "oracle", Oracle: r.Oracle, Mode: r.Mode,
-			Workers: r.Workers, Queries: r.Queries, Seconds: r.Seconds,
-			QPS: r.QPS, Speedup: r.Speedup,
-		})
-	}
-}
-
-func recordTelemetry(rows []bench.TelemetryRow) {
-	for _, r := range rows {
-		row := jsonRow{
-			Figure: "telemetry", Mode: r.Mode, Workers: r.Workers,
-			Queries: r.Queries, Seconds: r.Seconds, QPS: r.QPS,
-			NsPerQuery: r.NsPerQuery,
-		}
-		if r.Mode == "instrumented" || r.Mode == "resilient" {
-			o := r.OverheadPct
-			row.OverheadPct = &o
-		}
-		recordRows(row)
-	}
-}
-
-func recordServe(rows []servebench.ServeRow) {
-	for _, r := range rows {
-		e := r.Errors
-		recordRows(jsonRow{
-			Figure: "serve", Nodes: r.Nodes, Endpoint: r.Endpoint,
-			Clients: r.Clients, Requests: r.Requests, Errors: &e,
-			Seconds: r.Seconds, QPS: r.QPS,
-			P50Ms: r.P50Ms, P95Ms: r.P95Ms, P99Ms: r.P99Ms,
-			InputsPerSec: r.InputsPerSec,
-		})
-	}
-}
-
-func recordParse(rows []bench.ParseRow) {
-	for _, r := range rows {
-		r := r
-		row := jsonRow{
-			Figure: "parse", Program: r.Program, Engine: r.Engine,
-			Inputs: r.Inputs, MBps: r.MBps, NsPerAccept: r.NsPerAccept,
-			AllocsPerOp: &r.AcceptAllocs, SamplesPerSec: r.SamplesPerSec,
-			SampleAllocs: &r.SampleAllocs, Ratio: r.Ratio, Agree: &r.Agree,
-			RungAgree: &r.RungAgree,
-		}
-		if r.Engine == "compiled" {
-			row.DFARejectRate = &r.DFARejectRate
-			row.VMShare = &r.VMShare
-			row.EarleyShare = &r.EarleyShare
-		}
-		recordRows(row)
 	}
 }
 

@@ -17,10 +17,10 @@ import (
 	"testing"
 	"time"
 
-	"glade/internal/bench"
 	"glade/internal/bytesets"
 	"glade/internal/cfg"
 	"glade/internal/core"
+	"glade/internal/fuzz"
 	"glade/internal/oracle"
 	"glade/internal/programs"
 	"glade/internal/targets"
@@ -103,12 +103,38 @@ func assertSamplerIdentity(t *testing.T, name string, g *cfg.Grammar, n, depth i
 	return out
 }
 
-// corpusFor assembles accept and reject cases for g — the same corpus the
-// parse benchmark's CI gate measures (bench.ParseCorpus at the default
-// rand seed), so the differential suite verifies exactly the inputs the
-// benchmark times.
+// corpusFor assembles the mixed accept/reject membership corpus for g:
+// the seeds, the empty string, grammar samples (accepts), naive
+// byte-level mutants of the seeds, and random strings over the grammar's
+// terminal alphabet (mostly rejects). The differential suite, the
+// prefilter soundness test and the compiled-engine benchmarks all run on
+// it, drawn from a fixed rand seed.
 func corpusFor(g *cfg.Grammar, seeds []string) []string {
-	return bench.ParseCorpus(g, seeds, 1)
+	rng := rand.New(rand.NewSource(1))
+	corpus := append([]string(nil), seeds...)
+	corpus = append(corpus, "")
+	if g.Productive()[g.Start] {
+		sm := cfg.NewSampler(g, cfg.DefaultSampleDepth)
+		for i := 0; i < 80; i++ {
+			corpus = append(corpus, sm.Sample(rng))
+		}
+	}
+	naive := fuzz.NewNaive(seeds, g.Terminals().Bytes())
+	for i := 0; i < 60; i++ {
+		corpus = append(corpus, naive.Next(rng))
+	}
+	alphabet := g.Terminals().Bytes()
+	if len(alphabet) == 0 {
+		alphabet = []byte("ab")
+	}
+	for i := 0; i < 40; i++ {
+		b := make([]byte, rng.Intn(24))
+		for j := range b {
+			b[j] = alphabet[rng.Intn(len(alphabet))]
+		}
+		corpus = append(corpus, string(b))
+	}
+	return corpus
 }
 
 // TestCompiledMatchesParserLearnedTargets runs the differential check on

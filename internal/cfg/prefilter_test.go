@@ -14,7 +14,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"glade/internal/bench"
 	"glade/internal/bytesets"
 	"glade/internal/cfg"
 	"glade/internal/programs"
@@ -35,9 +34,9 @@ func loadGolden(t testing.TB, name string) *cfg.Grammar {
 	return g
 }
 
-// TestPrefilterSoundnessGolden checks, over the same corpus the parse
-// benchmark gates on, that the prefilter never rejects an input the
-// reference Earley engine accepts — and that it does reject something.
+// TestPrefilterSoundnessGolden checks, over the differential suite's
+// corpus, that the prefilter never rejects an input the reference Earley
+// engine accepts — and that it does reject something.
 func TestPrefilterSoundnessGolden(t *testing.T) {
 	for _, tc := range []struct {
 		golden, program string
@@ -55,7 +54,7 @@ func TestPrefilterSoundnessGolden(t *testing.T) {
 			t.Fatalf("unknown program %s", tc.program)
 		}
 		rejected := 0
-		for _, in := range bench.ParseCorpus(g, p.Seeds(), 1) {
+		for _, in := range corpusFor(g, p.Seeds()) {
 			if !c.PrefilterRejects(in) {
 				continue
 			}
@@ -65,7 +64,7 @@ func TestPrefilterSoundnessGolden(t *testing.T) {
 			}
 		}
 		if rejected == 0 {
-			t.Fatalf("%s: prefilter rejected nothing on the benchmark corpus", tc.program)
+			t.Fatalf("%s: prefilter rejected nothing on the corpus", tc.program)
 		}
 	}
 }

@@ -72,7 +72,7 @@ func TestParallelDeterminism(t *testing.T) {
 
 // TestParallelDeterminismPrograms repeats the determinism contract on two
 // simulated programs of §8.3 (sed and the XML parser) learned from their
-// bundled seeds — the configuration the speedup benchmark measures.
+// bundled seeds.
 func TestParallelDeterminismPrograms(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full program learning")

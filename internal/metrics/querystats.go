@@ -13,8 +13,8 @@ import (
 
 // QueryStats is a snapshot of a QueryTimer: how many oracle queries ran,
 // how long each took, and the aggregate throughput over the observed
-// window. It is how the parallel oracle engine's speedup is measured — at
-// Workers=N the per-query latency is unchanged while throughput scales.
+// window: at Workers=N the per-query latency is unchanged while
+// throughput scales.
 // The JSON names are the wire format of glade-serve /v1/stats rows and of
 // campaign checkpoint reports (durations marshal as nanoseconds).
 type QueryStats struct {

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -142,5 +143,35 @@ func TestQueryTimerConcurrent(t *testing.T) {
 	wg.Wait()
 	if s := q.Snapshot(); s.Queries != 800 {
 		t.Fatalf("Queries = %d, want 800", s.Queries)
+	}
+}
+
+// TestDispatchWrappersAllocateNothing pins the hot path of the wrappers a
+// service job's queries pass through: one Check through a QueryTimer with
+// a mirrored histogram, and one through the retry/breaker wrapper with no
+// fault occurring, must not allocate.
+func TestDispatchWrappersAllocateNothing(t *testing.T) {
+	accept := oracle.CheckFunc(func(context.Context, string) (oracle.Verdict, error) {
+		return oracle.Accept, nil
+	})
+	timer := NewQueryTimer(accept)
+	timer.Mirror(&telemetry.Histogram{})
+	resilient := oracle.NewResilient(accept, oracle.ResilientOptions{
+		Retry:   oracle.RetryPolicy{MaxAttempts: 3},
+		Breaker: oracle.BreakerPolicy{Threshold: 16},
+	})
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		o    oracle.CheckOracle
+	}{{"QueryTimer", timer}, {"Resilient", resilient}} {
+		allocs := testing.AllocsPerRun(1000, func() {
+			if _, err := tc.o.Check(ctx, "x"); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %.2f allocations per Check, want 0", tc.name, allocs)
+		}
 	}
 }

@@ -35,8 +35,7 @@ type checkResponse struct {
 // posted inputs against the stored grammar's compiled recognition ladder
 // (cfg.Compiled.AcceptsAll). No oracle is consulted — verdicts are the
 // grammar's own language, served from the store's hot cache, which is what
-// makes this the endpoint of choice for high-QPS load (and the one
-// glade-bench -fig serve leans on).
+// makes this the endpoint of choice for high-QPS load.
 func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var req checkRequest
