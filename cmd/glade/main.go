@@ -153,7 +153,7 @@ func main() {
 		s.Seeds, s.SeedsSkipped, s.Candidates, s.Checks, s.OracleQueries, s.Merged,
 		s.Duration.Seconds(), timedOut(s.TimedOut))
 	if *samples > 0 {
-		sm := cfg.NewSampler(res.Grammar, cfg.DefaultSampleDepth)
+		sm := cfg.Compile(res.Grammar)
 		rng := rand.New(rand.NewSource(time.Now().UnixNano()))
 		for i := 0; i < *samples; i++ {
 			fmt.Printf("sample %d: %q\n", i+1, sm.Sample(rng))

@@ -54,9 +54,9 @@ func main() {
 
 	// The learned language is recursive: nested tags parse even though the
 	// seed had none.
-	parser := glade.NewParser(res.Grammar)
+	c := glade.Compile(res.Grammar)
 	for _, s := range []string{"<a><a>deep</a></a>", "xyz", "<a>", "<b></b>"} {
-		fmt.Printf("  parses %-22q = %v (oracle: %v)\n", s, parser.Accepts(s), valid(s))
+		fmt.Printf("  parses %-22q = %v (oracle: %v)\n", s, c.Accepts(s), valid(s))
 	}
 
 	fmt.Println("\nSamples from the synthesized grammar:")

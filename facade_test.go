@@ -40,11 +40,15 @@ func learnDyck(t *testing.T) *Result {
 
 func TestFacadeLearnParserSampler(t *testing.T) {
 	res := learnDyck(t)
-	p := NewParser(res.Grammar)
-	if !p.Accepts("((()))()") || p.Accepts(")(") {
+	c := Compile(res.Grammar)
+	if !c.Accepts("((()))()") || c.Accepts(")(") {
 		t.Fatal("facade parser wrong")
 	}
-	sm := NewSampler(res.Grammar, 16)
+	if _, err := c.Parse("(())"); err != nil {
+		t.Fatalf("facade parse: %v", err)
+	}
+	sm := Compile(res.Grammar)
+	sm.MaxDepth = 16
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 100; i++ {
 		if s := sm.Sample(rng); !dyck(s) {
@@ -122,9 +126,9 @@ func TestSeedsAlwaysCovered(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			p := NewParser(res.Grammar)
+			c := Compile(res.Grammar)
 			for _, s := range seeds {
-				if !p.Accepts(s) {
+				if !c.Accepts(s) {
 					t.Fatalf("%s: seed %q missing from learned language", name, s)
 				}
 			}

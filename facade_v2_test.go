@@ -122,12 +122,12 @@ func TestSampleCachesCompiledGrammar(t *testing.T) {
 	// Same rng seed through both paths: identical streams.
 	cached := rand.New(rand.NewSource(7))
 	direct := rand.New(rand.NewSource(7))
-	sm := NewSampler(g, DefaultSampleDepth)
+	sm := Compile(g)
 	for i := 0; i < 50; i++ {
 		a := Sample(g, cached)
 		b := sm.Sample(direct)
 		if a != b {
-			t.Fatalf("draw %d: cached Sample %q != sampler %q", i, a, b)
+			t.Fatalf("draw %d: cached Sample %q != fresh Compile %q", i, a, b)
 		}
 	}
 	// The cache holds this grammar's compiled form and reuses it.

@@ -12,7 +12,8 @@
 // The package is a facade over the implementation packages:
 //
 //	internal/core     the synthesis algorithm (phases 1, 2, char-gen)
-//	internal/cfg      grammars, Earley parsing, sampling
+//	internal/cfg      grammars and their compiled engine: recognition
+//	                  ladder, parse trees, sampling
 //	internal/oracle   membership oracles (functions, caching, exec) and
 //	                  the named oracle-spec registry (OracleSpec)
 //	internal/fuzz     naive / afl-style / grammar-based fuzzers
@@ -310,33 +311,19 @@ func Learn(seeds []string, o Oracle, opts Options) (*Result, error) {
 	return core.Learn(context.Background(), seeds, oracle.AsCheck(o), opts)
 }
 
-// Parser recognizes and parses strings against a Grammar (Earley).
-type Parser = cfg.Parser
-
-// NewParser compiles g for repeated membership queries and parsing.
-func NewParser(g *Grammar) *Parser { return cfg.NewParser(g) }
-
-// Sampler draws random strings from a Grammar (uniform PCFG, §8.1).
-type Sampler = cfg.Sampler
-
-// NewSampler builds a sampler with the given derivation-depth budget;
-// DefaultSampleDepth suits the grammars in this repository.
-func NewSampler(g *Grammar, maxDepth int) *Sampler { return cfg.NewSampler(g, maxDepth) }
-
 // DefaultSampleDepth is the sampling depth budget used by Sample and the
-// grammar fuzzer; pass it to NewSampler unless you have a reason not to.
+// grammar fuzzer, and the initial MaxDepth of a CompiledGrammar.
 const DefaultSampleDepth = cfg.DefaultSampleDepth
 
-// CompiledGrammar is a Grammar lowered into flat index tables for the
-// throughput workloads: concurrent batch membership (Accepts, AcceptsAll)
-// and low-allocation sampling (Sample). It is safe for concurrent use;
+// CompiledGrammar is a Grammar lowered into flat index tables, the one
+// engine behind membership (Accepts, AcceptsAll), parse trees (Parse) and
+// sampling (Sample; uniform PCFG, §8.1). It is safe for concurrent use;
 // the one mutable knob, the MaxDepth sampling budget, must be set before
 // the value is shared across goroutines.
 type CompiledGrammar = cfg.Compiled
 
 // Compile lowers g into its compiled form. Compile once, share freely;
-// membership through the compiled engine is several times faster than
-// Parser and allocation-free at steady state.
+// membership is allocation-free at steady state.
 func Compile(g *Grammar) *CompiledGrammar { return cfg.Compile(g) }
 
 // Fuzzer generates test inputs, optionally steering on coverage feedback.
@@ -375,8 +362,7 @@ var sampleCache struct {
 // Compile it yourself after mutations. The cache holds exactly one
 // grammar: alternating between grammars recompiles on every switch —
 // Compile once and use CompiledGrammar.Sample directly for that. The
-// drawn strings are identical to NewSampler(g, DefaultSampleDepth).Sample
-// for the same rng stream.
+// drawn strings are those of Compile(g).Sample for the same rng stream.
 func Sample(g *Grammar, rng *rand.Rand) string {
 	sampleCache.Lock()
 	c := sampleCache.c

@@ -23,9 +23,8 @@ func TestEndToEndXMLTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parser := NewParser(res.Grammar)
 	// Recursion learned from flat seeds: deeper nesting than any seed.
-	if !parser.Accepts("<a><a><a>deep</a></a></a>") {
+	if !Compile(res.Grammar).Accepts("<a><a><a>deep</a></a></a>") {
 		t.Error("nested elements rejected; phase 2 failed end-to-end")
 	}
 	// Fuzz: the grammar fuzzer must produce valid inputs far more often

@@ -2,13 +2,49 @@ package bench
 
 import (
 	"context"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 )
 
+var updateFigRows = flag.Bool("update-figrows", false, "rewrite testdata/figrows.txt from the current learners and metrics")
+
 func smallConfig() Config {
 	return Config{Seeds: 6, EvalSamples: 120, Timeout: 30 * time.Second, FuzzSamples: 1500, RandSeed: 1}
+}
+
+// matchFigRows compares got with the lines of testdata/figrows.txt that
+// start with section, or under -update-figrows replaces those lines. The
+// file pins the §8.2 scores of TestFig4Shape, TestFig4c and TestAblations:
+// they are deterministic, so a change that only makes them faster leaves
+// it untouched. Regenerate it with all three tests at once.
+func matchFigRows(t *testing.T, section string, got []string) {
+	t.Helper()
+	figRowsPath := filepath.Join("testdata", "figrows.txt")
+	data, err := os.ReadFile(figRowsPath)
+	if err != nil && !*updateFigRows {
+		t.Fatalf("missing fixture: %v", err)
+	}
+	var want, others string
+	for line := range strings.Lines(string(data)) {
+		if strings.HasPrefix(line, section+" ") {
+			want += line
+		} else {
+			others += line
+		}
+	}
+	rows := strings.Join(got, "\n") + "\n"
+	if *updateFigRows {
+		if err := os.WriteFile(figRowsPath, []byte(others+rows), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	} else if rows != want {
+		t.Errorf("%s rows drifted from %s:\ngot:\n%swant:\n%s", section, figRowsPath, rows, want)
+	}
 }
 
 func TestFig4Shape(t *testing.T) {
@@ -17,12 +53,15 @@ func TestFig4Shape(t *testing.T) {
 		t.Fatalf("expected 16 rows, got %d", len(rows))
 	}
 	f1 := map[string]map[string]float64{}
+	var pinned []string
 	for _, r := range rows {
 		if f1[r.Target] == nil {
 			f1[r.Target] = map[string]float64{}
 		}
 		f1[r.Target][r.Learner] = r.F1
+		pinned = append(pinned, fmt.Sprintf("fig4 %s %s P=%.4f R=%.4f F1=%.4f", r.Target, r.Learner, r.Precision, r.Recall, r.F1))
 	}
+	matchFigRows(t, "fig4", pinned)
 	// The paper's headline shape: GLADE beats both baselines on every
 	// target; L-Star's only real showing is grep; RPNI fails everywhere.
 	for _, tgt := range []string{"url", "grep", "lisp", "xml"} {
@@ -45,11 +84,14 @@ func TestFig4c(t *testing.T) {
 	if len(rows) != 2 {
 		t.Fatalf("expected 2 rows, got %d", len(rows))
 	}
+	var pinned []string
 	for _, r := range rows {
 		if r.Recall == 0 {
 			t.Errorf("seeds=%d: zero recall", r.Seeds)
 		}
+		pinned = append(pinned, fmt.Sprintf("fig4c seeds=%d P=%.4f R=%.4f", r.Seeds, r.Precision, r.Recall))
 	}
+	matchFigRows(t, "fig4c", pinned)
 }
 
 func TestFig5(t *testing.T) {
@@ -138,9 +180,13 @@ func TestAblations(t *testing.T) {
 		t.Fatalf("ablation rows = %d", len(rows))
 	}
 	byKey := map[string]AblationRow{}
+	var pinned []string
 	for _, r := range rows {
 		byKey[r.Target+"/"+r.Variant] = r
+		pinned = append(pinned, fmt.Sprintf("ablation %s %s P=%.4f R=%.4f F1=%.4f queries=%d",
+			r.Target, r.Variant, r.Precision, r.Recall, r.F1, r.Queries))
 	}
+	matchFigRows(t, "ablation", pinned)
 	// Reversed candidate ordering must hurt recall on xml (the §4.2 claim).
 	if byKey["xml/reverse-ordering"].Recall > byKey["xml/full"].Recall {
 		t.Errorf("reverse ordering did not reduce xml recall: %.2f vs %.2f",

@@ -259,7 +259,7 @@ func Fig8(ctx context.Context, c Config) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	sm := cfg.NewSampler(res.Grammar, cfg.DefaultSampleDepth)
+	sm := cfg.Compile(res.Grammar)
 	rng := rand.New(rand.NewSource(c.RandSeed))
 	// Prefer a sample that the program actually accepts and that shows some
 	// structure.

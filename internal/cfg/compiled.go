@@ -23,8 +23,8 @@ import (
 // pointer chasing, no map lookups, and no per-call bookkeeping
 // allocations. A Compiled is immutable after Compile (except MaxDepth,
 // which callers may set before sharing it) and safe for concurrent use:
-// Accepts, AcceptsAll, Sample, and SampleInto (each caller with its own
-// Derivation) may all be called from any number of goroutines, with
+// Accepts, AcceptsAll, Parse, Sample, and SampleInto (each caller with its
+// own Derivation) may all be called from any number of goroutines, with
 // per-call scratch state drawn from an internal sync.Pool.
 type Compiled struct {
 	start int32
@@ -59,9 +59,9 @@ type Compiled struct {
 	prodFirst    []bytesets.Set
 	prodNullable []bool
 
-	// MaxDepth is the sampling depth budget (see Sampler). It defaults to
-	// DefaultSampleDepth; adjust it before sharing the Compiled across
-	// goroutines.
+	// MaxDepth is the sampling depth budget (see compiled_sample.go). It
+	// defaults to DefaultSampleDepth; adjust it before sharing the Compiled
+	// across goroutines.
 	MaxDepth int
 
 	// The recognition ladder (see ladder.go): dfa is the reject-fast
@@ -75,8 +75,7 @@ type Compiled struct {
 	vmScratch sync.Pool // *vmScratch
 }
 
-// unboundedCost marks unproductive nonterminals in the int32 depth tables
-// (the Sampler's unbounded, narrowed to the IR's element width).
+// unboundedCost marks unproductive nonterminals in the int32 depth tables.
 const unboundedCost = math.MaxInt32
 
 // Compile lowers g into its flat intermediate representation. The grammar
@@ -136,8 +135,8 @@ func (c *Compiled) numProds() int { return len(c.prodNT) }
 // prodLen returns the number of symbols on production p's right-hand side.
 func (c *Compiled) prodLen(p int32) int { return int(c.prodOff[p+1] - c.prodOff[p]) }
 
-// computeDepths fills minDepth and prodCost by the same fixed point the
-// Sampler computes over the pointer representation.
+// computeDepths fills minDepth and prodCost by a fixed point over the
+// productions.
 func (c *Compiled) computeDepths() {
 	c.minDepth = make([]int32, c.NumNT())
 	for i := range c.minDepth {

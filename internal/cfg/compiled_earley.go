@@ -1,7 +1,7 @@
 package cfg
 
-// The compiled recognizer is the same Earley algorithm as Parser (with the
-// Aycock–Horspool nullable shortcut), restructured for throughput:
+// The compiled recognizer is the Earley algorithm (with the Aycock–Horspool
+// nullable shortcut), restructured for throughput:
 //
 //   - chart rows are append-only slices of fixed-width items, not
 //     map[item]bool sets;
@@ -16,9 +16,9 @@ package cfg
 //   - all scratch state lives in a per-Compiled sync.Pool, so a steady
 //     state Accepts performs no heap allocation at all.
 //
-// Unlike Parser, the compiled engine is a recognizer only: it answers
-// membership but does not retain the completed-span index a parse tree
-// needs. Tree extraction (seed parsing in fuzz.Grammar) stays on Parser.
+// Accepts reads only the verdict. Parse (compiled_parse.go) also indexes
+// the filled chart's completed items to rebuild a parse tree. The tests
+// check both against a map-based reference parser.
 
 // citem is one Earley item: production prod (global index) with the dot
 // dot symbols in, started at input position origin. waitNext threads the

@@ -5,15 +5,26 @@ import (
 	"sync"
 )
 
-// The compiled sampler draws from the same distribution as Sampler — the
-// uniform PCFG of §8.1 with the depth-bounded fallback — directly over the
-// flat IR's cost tables. Production choice consumes the rng identically to
-// Sampler (one Intn over the in-budget candidate count, in production
-// order, then one Intn per terminal byte), so a Compiled and a Sampler
-// seeded with the same rng emit byte-identical streams; the difference is
-// purely mechanical: no candidate slice is materialized per expansion, and
-// string assembly goes through a pooled byte buffer, so a steady-state
-// Sample allocates only the returned string.
+// The compiled sampler draws strings by the procedure of §8.1: the grammar
+// is a probabilistic CFG with the uniform distribution over each
+// nonterminal's productions, expanded top down. Uniform expansion of a
+// recursive grammar diverges with positive probability, so expansion runs
+// under a depth budget (MaxDepth): a nonterminal picks uniformly among the
+// productions whose derivation cost fits the remaining budget, and among
+// the cheapest ones when none fits, which guarantees termination without
+// skewing shallow samples. Each choice consumes one Intn over the
+// candidate count, in production order, then one Intn per terminal byte.
+// No candidate slice is materialized per expansion, and string assembly
+// goes through a pooled byte buffer, so a steady-state Sample allocates
+// only the returned string.
+
+// DefaultSampleDepth is the sampling depth budget used throughout the
+// repository when a caller has no reason to choose otherwise: deep enough
+// that the depth-bounded fallback rarely engages on the grammars GLADE
+// learns, shallow enough that recursion-heavy grammars still terminate
+// quickly. The grammar fuzzer, the facade conveniences, and the bench
+// suite all share this value.
+const DefaultSampleDepth = 24
 
 // sampleBufs pools the output buffers of Sample/SampleFrom across all
 // Compiled grammars.
@@ -41,8 +52,8 @@ func (c *Compiled) SampleFrom(rng *rand.Rand, nt int) string {
 
 // pickProd chooses a production of nt uniformly among those whose
 // derivation cost fits the budget, falling back to the minimal-cost group
-// when none fits — Sampler's candidate rule, computed by counting over the
-// cost table instead of building a slice.
+// when none fits, by counting over the cost table instead of building a
+// slice.
 func (c *Compiled) pickProd(rng *rand.Rand, nt int32, budget int) int32 {
 	lo, hi := c.ntProd[nt], c.ntProd[nt+1]
 	count := 0

@@ -1,11 +1,12 @@
 package cfg_test
 
 // Differential property tests for the compiled-grammar engine: the
-// compiled recognizer must agree byte for byte with the map-based Earley
-// Parser, and the compiled sampler must emit byte-identical streams to
-// Sampler, on every grammar the learner actually produces, on handcrafted
-// pathological grammars, and on randomly generated ones. A concurrency
-// test hammers one Compiled from many goroutines under -race.
+// compiled recognizer must agree with the map-based reference Earley
+// Parser and build the same parse trees, and the compiled sampler must
+// emit byte-identical streams to the reference Sampler, on every grammar
+// the learner actually produces, on handcrafted pathological grammars,
+// and on randomly generated ones. A concurrency test hammers one Compiled
+// from many goroutines under -race.
 //
 // External test package so the real learner can run (core imports cfg).
 
@@ -13,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -26,15 +28,19 @@ import (
 	"glade/internal/targets"
 )
 
-// assertEngineAgreement checks Parser vs Compiled (both Accepts and
-// AcceptsAll) on every input.
+// assertEngineAgreement checks the reference Parser vs Compiled (Parse,
+// Accepts and AcceptsAll) on every input.
 func assertEngineAgreement(t *testing.T, name string, g *cfg.Grammar, inputs []string) {
 	t.Helper()
 	parser := cfg.NewParser(g)
 	comp := cfg.Compile(g)
 	want := make([]bool, len(inputs))
 	for i, in := range inputs {
-		want[i] = parser.Accepts(in)
+		tree, err := parser.Parse(in)
+		want[i] = err == nil
+		if got, _ := comp.Parse(in); !reflect.DeepEqual(got, tree) {
+			t.Fatalf("%s: Compiled.Parse(%q) and the reference Parser.Parse build different trees", name, in)
+		}
 		got, rung := comp.AcceptsRung(in)
 		if got != want[i] {
 			t.Fatalf("%s: Compiled.Accepts(%q) = %v via %s rung, Parser says %v", name, in, got, rung, want[i])

@@ -24,7 +24,7 @@ type derivNode struct {
 	nt, prod, size, lo, hi int32
 }
 
-// Flatten lays out the parse tree t of input (from Parser.Parse) as a
+// Flatten lays out the parse tree t of input (from Compiled.Parse) as a
 // Derivation producing input[t.Lo:t.Hi].
 func (t *Tree) Flatten(input string) *Derivation {
 	d := &Derivation{text: []byte(input[t.Lo:t.Hi])}

@@ -5,9 +5,10 @@ package cfg_test
 //
 //   - FuzzAcceptsDifferential feeds arbitrary inputs to every engine — the
 //     map-based Earley Parser (the reference), the full compiled ladder,
-//     the Earley rung alone, and the DFA prefilter in its sound
-//     direction — over the pinned learned sed/xml grammars plus the
-//     handcrafted pathological set, and fails on any disagreement.
+//     the Earley rung alone, the DFA prefilter in its sound direction,
+//     and compiled tree extraction — over the pinned learned sed/xml
+//     grammars plus the handcrafted pathological set, and fails on any
+//     disagreement.
 //   - FuzzCompileRoundTrip drives Unmarshal → Marshal → Unmarshal →
 //     Compile on arbitrary grammar text: parsing must never panic, the
 //     marshaled form must be a fixed point, and the two compiled ladders
@@ -23,6 +24,7 @@ package cfg_test
 import (
 	"maps"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -68,10 +70,14 @@ func buildFuzzEngines(tb testing.TB) []*fuzzEngine {
 }
 
 // checkLadderAgreement runs one input through every engine of e and fails
-// on any disagreement with the reference parser.
+// on any disagreement with the reference parser, parse trees included.
 func checkLadderAgreement(t *testing.T, e *fuzzEngine, input string) {
 	t.Helper()
-	want := e.parser.Accepts(input)
+	tree, err := e.parser.Parse(input)
+	want := err == nil
+	if got, _ := e.comp.Parse(input); !reflect.DeepEqual(got, tree) {
+		t.Fatalf("%s: Compiled.Parse and the reference Parser.Parse build different trees for %q", e.name, input)
+	}
 	got, rung := e.comp.AcceptsRung(input)
 	if got != want {
 		t.Fatalf("%s: ladder says %v via %s rung, reference parser says %v for %q",
@@ -236,10 +242,9 @@ func TestFlattenParseTrees(t *testing.T) {
 	grammars := buildSpliceGrammars(t)
 	for i, program := range []string{"sed", "xml"} {
 		sg := grammars[i]
-		parser := cfg.NewParser(sg.g)
 		parsed := 0
 		for _, seed := range programs.ByName(program).Seeds() {
-			tree, err := parser.Parse(seed)
+			tree, err := sg.comp.Parse(seed)
 			if err != nil {
 				continue
 			}

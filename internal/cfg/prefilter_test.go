@@ -36,7 +36,8 @@ func loadGolden(t testing.TB, name string) *cfg.Grammar {
 
 // TestPrefilterSoundnessGolden checks, over the differential suite's
 // corpus, that the prefilter never rejects an input the reference Earley
-// engine accepts — and that it does reject something.
+// engine accepts — and that it does reject something. The same corpus
+// runs through the whole engine agreement check, parse trees included.
 func TestPrefilterSoundnessGolden(t *testing.T) {
 	for _, tc := range []struct {
 		golden, program string
@@ -53,8 +54,10 @@ func TestPrefilterSoundnessGolden(t *testing.T) {
 		if p == nil {
 			t.Fatalf("unknown program %s", tc.program)
 		}
+		corpus := corpusFor(g, p.Seeds())
+		assertEngineAgreement(t, tc.golden, g, corpus)
 		rejected := 0
-		for _, in := range corpusFor(g, p.Seeds()) {
+		for _, in := range corpus {
 			if !c.PrefilterRejects(in) {
 				continue
 			}

@@ -136,7 +136,7 @@ func TestRunningExamplePhase2(t *testing.T) {
 	if res.Stats.Merged != 1 {
 		t.Fatalf("Merged = %d, want 1", res.Stats.Merged)
 	}
-	p := cfg.NewParser(res.Grammar)
+	p := cfg.Compile(res.Grammar)
 	mustAccept := []string{
 		"", "xyz", "<a></a>", "<a>hi</a>",
 		"<a><a>deep</a></a>",
@@ -163,7 +163,8 @@ func TestPrecisionOnXML(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sm := cfg.NewSampler(res.Grammar, 24)
+	sm := cfg.Compile(res.Grammar)
+	sm.MaxDepth = 24
 	rng := rand.New(rand.NewSource(17))
 	for i := 0; i < 500; i++ {
 		s := sm.Sample(rng)
@@ -182,7 +183,7 @@ func TestP1VariantHasNoRecursion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := cfg.NewParser(res.Grammar)
+	p := cfg.Compile(res.Grammar)
 	if !p.Accepts("<a>xyz</a>") {
 		t.Fatal("P1 grammar rejects flat string")
 	}
@@ -200,7 +201,7 @@ func TestCharGenOffKeepsSeedLetters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := cfg.NewParser(res.Grammar)
+	p := cfg.Compile(res.Grammar)
 	if !p.Accepts("<a>hihi</a>") {
 		t.Fatal("rejects seed letters")
 	}
@@ -253,13 +254,14 @@ func TestMultiSeedUnion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := cfg.NewParser(res.Grammar)
+	p := cfg.Compile(res.Grammar)
 	for _, s := range []string{"()", "(a)", "(aaaa)", "[]", "[bbb]"} {
 		if !p.Accepts(s) {
 			t.Errorf("rejects %q", s)
 		}
 	}
-	sm := cfg.NewSampler(res.Grammar, 20)
+	sm := cfg.Compile(res.Grammar)
+	sm.MaxDepth = 20
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 300; i++ {
 		s := sm.Sample(rng)
@@ -287,7 +289,7 @@ func TestPhase2OvergeneralizationLimitation(t *testing.T) {
 	if res.Stats.Merged == 0 {
 		t.Fatal("expected the empty-context stars to merge (paper §5.3 checks pass)")
 	}
-	if !cfg.NewParser(res.Grammar).Accepts("ab") {
+	if !cfg.Compile(res.Grammar).Accepts("ab") {
 		t.Fatal("expected the documented overgeneralization to (a+b)*")
 	}
 }
@@ -318,7 +320,7 @@ func TestDyck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := cfg.NewParser(res.Grammar)
+	p := cfg.Compile(res.Grammar)
 	for _, s := range []string{"", "()", "(())", "((()))", "()()", "(()())"} {
 		if !p.Accepts(s) {
 			t.Errorf("rejects balanced %q", s)
@@ -329,7 +331,8 @@ func TestDyck(t *testing.T) {
 			t.Errorf("accepts unbalanced %q", s)
 		}
 	}
-	sm := cfg.NewSampler(res.Grammar, 20)
+	sm := cfg.Compile(res.Grammar)
+	sm.MaxDepth = 20
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 300; i++ {
 		if s := sm.Sample(rng); !o.Accepts(s) {
@@ -350,7 +353,7 @@ func TestTimeoutReturnsPartialResult(t *testing.T) {
 	if !res.Stats.TimedOut {
 		t.Fatal("TimedOut not reported")
 	}
-	p := cfg.NewParser(res.Grammar)
+	p := cfg.Compile(res.Grammar)
 	if !p.Accepts("<a>hi</a>") {
 		t.Fatal("partial grammar does not contain the seed")
 	}
@@ -378,7 +381,7 @@ func TestSeedAlwaysInLanguage(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !cfg.NewParser(res.Grammar).Accepts(seed) {
+			if !cfg.Compile(res.Grammar).Accepts(seed) {
 				t.Fatalf("seed %q not in learned language", seed)
 			}
 		}

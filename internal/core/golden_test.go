@@ -54,13 +54,14 @@ func TestGoldenGrammars(t *testing.T) {
 	}
 }
 
-// assertLadderSound checks the compiled recognition ladder against the
-// map-based reference parser on a small mixed corpus for the learned
-// grammar: identical verdicts overall, and — the prefilter's soundness
-// contract — no DFA rejection of an input the reference accepts.
+// assertLadderSound checks each rung of the compiled recognition ladder
+// against the Earley rung on a small mixed corpus for the learned grammar:
+// identical verdicts overall, and — the prefilter's soundness contract —
+// no DFA rejection of an input Earley accepts. (The cfg package's
+// differential suite checks the Earley rung itself against a map-based
+// reference parser on the same golden grammars.)
 func assertLadderSound(t *testing.T, name string, g *cfg.Grammar, seeds []string) {
 	t.Helper()
-	parser := cfg.NewParser(g)
 	comp := cfg.Compile(g)
 	corpus := append([]string(nil), seeds...)
 	corpus = append(corpus, "", "x", "<<<", "s/a/b/", "<a>text</a>")
@@ -70,12 +71,12 @@ func assertLadderSound(t *testing.T, name string, g *cfg.Grammar, seeds []string
 		}
 	}
 	for _, in := range corpus {
-		want := parser.Accepts(in)
+		want := comp.AcceptsEarley(in)
 		if got, rung := comp.AcceptsRung(in); got != want {
-			t.Errorf("%s: ladder says %v via %s rung, reference parser says %v for %q", name, got, rung, want, in)
+			t.Errorf("%s: ladder says %v via %s rung, the Earley rung says %v for %q", name, got, rung, want, in)
 		}
 		if comp.PrefilterRejects(in) && want {
-			t.Errorf("%s: DFA prefilter rejects %q, which the reference parser accepts", name, in)
+			t.Errorf("%s: DFA prefilter rejects %q, which the Earley rung accepts", name, in)
 		}
 	}
 }

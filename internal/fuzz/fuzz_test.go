@@ -108,12 +108,12 @@ func TestGrammarFuzzerStaysInLanguage(t *testing.T) {
 	if f.ParsedSeeds() != 1 {
 		t.Fatalf("ParsedSeeds = %d", f.ParsedSeeds())
 	}
-	parser := cfg.NewParser(g)
+	c := cfg.Compile(g)
 	rng := rand.New(rand.NewSource(6))
 	distinct := map[string]bool{}
 	for i := 0; i < 400; i++ {
 		s := f.Next(rng)
-		if !parser.Accepts(s) {
+		if !c.Accepts(s) {
 			t.Fatalf("generated %q outside the grammar", s)
 		}
 		distinct[s] = true

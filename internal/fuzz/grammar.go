@@ -30,20 +30,21 @@ type Grammar struct {
 // and the fresh subtree sampled for the next splice.
 type nextScratch struct{ d, fresh cfg.Derivation }
 
-// NewGrammar builds the fuzzer. Seeds that fail to parse under g are kept
-// as unmutatable fallbacks; at least one seed must parse or be present.
-//
-// The fuzzer compiles g once (cfg.Compile) and runs every subtree
-// resample on the compiled tables; seed parsing stays on the chart
-// parser, which is what tree extraction needs anyway. Callers that need
-// membership checks against the same grammar can reuse the Compiled (see
-// Compiled) instead of building another.
+// NewGrammar builds the fuzzer over cfg.Compile(g); see NewGrammarFrom.
 func NewGrammar(g *cfg.Grammar, seeds []string) *Grammar {
-	f := &Grammar{compiled: cfg.Compile(g)}
+	return NewGrammarFrom(cfg.Compile(g), seeds)
+}
+
+// NewGrammarFrom builds the fuzzer over an already compiled grammar, which
+// parses the seeds and runs every subtree resample. Seeds that fail to
+// parse are kept as unmutatable fallbacks; at least one seed must parse or
+// be present. Callers that need membership checks against the same
+// grammar can reuse c (see Compiled) instead of building another.
+func NewGrammarFrom(c *cfg.Compiled, seeds []string) *Grammar {
+	f := &Grammar{compiled: c}
 	f.scratch.New = func() any { return new(nextScratch) }
-	parser := cfg.NewParser(g)
 	for _, s := range seeds {
-		if t, err := parser.Parse(s); err == nil {
+		if t, err := c.Parse(s); err == nil {
 			f.trees = append(f.trees, t.Flatten(s))
 		} else {
 			f.unparsed = append(f.unparsed, s)

@@ -72,33 +72,30 @@ func Evaluate(learned, target Language, n int, rng *rand.Rand) Eval {
 	return e
 }
 
-// GrammarLang wraps a context-free grammar as a Language using the Earley
-// parser for membership and the §8.1 sampler for sampling.
+// GrammarLang wraps a context-free grammar as a Language: the compiled
+// recognition ladder answers membership and the compiled §8.1 sampler
+// draws samples.
 type GrammarLang struct {
-	parser  *cfg.Parser
-	sampler *cfg.Sampler
-	empty   bool
+	c     *cfg.Compiled
+	empty bool
 }
 
 // NewGrammarLang builds a GrammarLang with the given sampler depth budget.
 func NewGrammarLang(g *cfg.Grammar, depth int) *GrammarLang {
-	productive := g.Productive()
-	return &GrammarLang{
-		parser:  cfg.NewParser(g),
-		sampler: cfg.NewSampler(g, depth),
-		empty:   !productive[g.Start],
-	}
+	c := cfg.Compile(g)
+	c.MaxDepth = depth
+	return &GrammarLang{c: c, empty: !g.Productive()[g.Start]}
 }
 
 // Accepts implements Language.
-func (l *GrammarLang) Accepts(s string) bool { return l.parser.Accepts(s) }
+func (l *GrammarLang) Accepts(s string) bool { return l.c.Accepts(s) }
 
 // Sample implements Language.
 func (l *GrammarLang) Sample(rng *rand.Rand) (string, bool) {
 	if l.empty {
 		return "", false
 	}
-	return l.sampler.Sample(rng), true
+	return l.c.Sample(rng), true
 }
 
 // DFALang wraps a DFA as a Language with bounded-length sampling.

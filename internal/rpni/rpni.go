@@ -210,7 +210,9 @@ func (p *pta) mergeFold(a, b int) bool {
 	p.parent[b] = a
 	p.accept[a] = p.accept[a] || p.accept[b]
 	// Snapshot b's edges: recursive folds may mutate transition maps while
-	// we fold, and ranging over a mutating map is unsafe.
+	// we fold, and ranging over a mutating map is unsafe. Fold them in byte
+	// order: each order can leave a different union-find representative,
+	// which changes the next blue state and so the whole merge sequence.
 	type edge struct {
 		c byte
 		t int
@@ -219,6 +221,7 @@ func (p *pta) mergeFold(a, b int) bool {
 	for c, t := range p.trans[b] {
 		edges = append(edges, edge{c, t})
 	}
+	sort.Slice(edges, func(i, j int) bool { return edges[i].c < edges[j].c })
 	for _, e := range edges {
 		a = p.find(a)
 		if ta, ok := p.trans[a][e.c]; ok {

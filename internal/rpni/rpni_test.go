@@ -2,6 +2,7 @@ package rpni
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"glade/internal/automata"
 	"glade/internal/bytesets"
 	"glade/internal/rex"
+	"glade/internal/targets"
 )
 
 // characteristicLearn runs RPNI with a generous characteristic sample drawn
@@ -104,6 +106,28 @@ func TestNeverAcceptsNegatives(t *testing.T) {
 			if !got.Accepts(p) {
 				t.Fatalf("rejects positive %q", p)
 			}
+		}
+	}
+}
+
+// TestLearnDeterministic learns url's Fig. 4 inputs (10 seeds from rand
+// seed 1, 50 random strings the oracle rejects) over and over: the merge
+// sequence, and so the DFA, must not depend on Go's map iteration order.
+func TestLearnDeterministic(t *testing.T) {
+	tgt := targets.URL()
+	alphabet := tgt.Grammar.Terminals().Bytes()
+	positives := tgt.SampleSeeds(rand.New(rand.NewSource(1)), 10)
+	var negatives []string
+	rng := rand.New(rand.NewSource(14))
+	for len(negatives) < 50 {
+		if s := randString(rng, alphabet, 24); !tgt.Oracle.Accepts(s) {
+			negatives = append(negatives, s)
+		}
+	}
+	want, _ := Learn(positives, negatives, alphabet, 0)
+	for run := 1; run < 30; run++ {
+		if got, _ := Learn(positives, negatives, alphabet, 0); !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d: DFA differs", run)
 		}
 	}
 }

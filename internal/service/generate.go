@@ -25,10 +25,10 @@ const maxValidFactor = 20
 const maxFuzzerEntries = 64
 
 // fuzzerPool caches one grammar fuzzer per stored grammar, LRU-bounded at
-// maxFuzzerEntries. Building a fuzzer compiles the grammar into its flat
-// IR (cfg.Compile) and parses every seed under it — the expensive part —
-// so it happens once per grammar per residence in the cache; the one
-// Compiled then serves both sampling and membership for that grammar.
+// maxFuzzerEntries. A fuzzer is built over the store's Compiled for the
+// grammar (Store.Compiled), the same engine the check endpoint uses, so a
+// grammar is compiled once per residence in the store's cache; building
+// the fuzzer parses every seed under it, once per residence in this pool.
 // Generation itself is cheap and runs concurrently, each request drawing
 // a private rng from a per-grammar sync.Pool. fuzz.Grammar is safe for
 // concurrent Next calls with distinct rngs: its flattened seed trees are
@@ -90,7 +90,7 @@ func (p *fuzzerPool) entry(id string) (*pooledFuzzer, error) {
 	p.mu.Unlock()
 
 	e.once.Do(func() {
-		g, err := p.store.Grammar(id)
+		c, err := p.store.Compiled(id)
 		if err != nil {
 			e.err = err
 			return
@@ -100,7 +100,7 @@ func (p *fuzzerPool) entry(id string) (*pooledFuzzer, error) {
 			e.err = fmt.Errorf("service: no metadata for grammar %q", id)
 			return
 		}
-		e.fz = fuzz.NewGrammar(g, meta.Seeds)
+		e.fz = fuzz.NewGrammarFrom(c, meta.Seeds)
 	})
 	if e.err != nil {
 		// Do not memoize the failure: a generate that raced a still-running

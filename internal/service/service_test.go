@@ -292,7 +292,8 @@ func TestValidGenerateCap(t *testing.T) {
 
 // TestFuzzerPoolEviction: the fuzzer cache must stay LRU-bounded so a
 // long-lived daemon's memory does not grow with every grammar ever used
-// for generation.
+// for generation, and each fuzzer must run on the store's own Compiled
+// rather than compile the grammar a second time.
 func TestFuzzerPoolEviction(t *testing.T) {
 	store, err := OpenStore(t.TempDir(), nil)
 	if err != nil {
@@ -324,6 +325,11 @@ func TestFuzzerPoolEviction(t *testing.T) {
 	// An evicted grammar is rebuilt transparently on its next use.
 	if inputs, _, err := pool.Generate(context.Background(), "g000", 1, nil); err != nil || len(inputs) != 1 {
 		t.Fatalf("regenerate after eviction: %v (%d inputs)", err, len(inputs))
+	}
+	e, err := pool.entry("g000")
+	c, cerr := store.Compiled("g000")
+	if err != nil || cerr != nil || e.fz.Compiled() != c {
+		t.Fatalf("pooled fuzzer does not run on the store's Compiled (%v, %v)", err, cerr)
 	}
 }
 

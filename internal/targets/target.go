@@ -1,8 +1,9 @@
 // Package targets defines the four hand-written evaluation languages of
 // §8.2 — URL, Grep regular expressions, Lisp, and XML — each as a pair of
-// (a) a context-free grammar used to sample seed inputs and to measure
-// recall, and (b) a fast hand-written parser used as the membership oracle,
-// playing the role of the program under learning.
+// (a) a context-free grammar, sampled to measure recall, and (b) a fast
+// hand-written parser used as the membership oracle, playing the role of
+// the program under learning. Seed inputs come from a third, realistic
+// generator (SeedGen).
 //
 // The two representations are kept in exact agreement; the package tests
 // cross-check them on sampled members and on mutated near-misses.
@@ -27,7 +28,8 @@ type Target struct {
 	// for the paper's "examples from documentation".
 	DocSeeds []string
 	// SeedGen generates random *realistic* valid inputs — the distribution
-	// seed inputs actually come from (documentation examples, test suites).
+	// seed inputs actually come from (documentation examples, test suites);
+	// SampleSeeds draws from it, so every target sets it.
 	// The uniform PCFG sampler over Grammar produces adversarially
 	// unstructured strings no human test suite contains; learning from
 	// those is a different (harder) problem than the paper's.
@@ -49,24 +51,15 @@ func ByName(name string) *Target {
 	return nil
 }
 
-// SampleSeeds draws n distinct seed inputs. Seeds play the role of the
-// paper's "small test suites or examples from documentation", so they are
-// drawn from SeedGen (the realistic distribution) when available, falling
-// back to short samples from the ground-truth grammar. Duplicates are
-// re-drawn (bounded), so the result may be shorter than n for very small
-// languages.
+// SampleSeeds draws n distinct seed inputs from SeedGen. Seeds play the
+// role of the paper's "small test suites or examples from documentation".
+// Duplicates are re-drawn (bounded), so the result may be shorter than n
+// for very small languages.
 func (t *Target) SampleSeeds(rng *rand.Rand, n int) []string {
-	var draw func() string
-	if t.SeedGen != nil {
-		draw = func() string { return t.SeedGen(rng) }
-	} else {
-		sm := cfg.NewSampler(t.Grammar, 14)
-		draw = func() string { return sm.Sample(rng) }
-	}
 	seen := map[string]bool{}
 	var out []string
 	for attempts := 0; len(out) < n && attempts < 200*n; attempts++ {
-		s := draw()
+		s := t.SeedGen(rng)
 		if seen[s] || len(s) > 60 {
 			continue
 		}
@@ -74,18 +67,4 @@ func (t *Target) SampleSeeds(rng *rand.Rand, n int) []string {
 		out = append(out, s)
 	}
 	return out
-}
-
-// EvalSampler returns the sampler defining the target distribution PL* of
-// Definition 2.1 used to measure recall: an even mixture of the realistic
-// distribution (SeedGen) and shallow samples from the ground-truth grammar,
-// so recall rewards both realistic and structurally adventurous strings.
-func (t *Target) EvalSampler() func(rng *rand.Rand) string {
-	sm := cfg.NewSampler(t.Grammar, 12)
-	return func(rng *rand.Rand) string {
-		if t.SeedGen != nil && rng.Intn(2) == 0 {
-			return t.SeedGen(rng)
-		}
-		return sm.Sample(rng)
-	}
 }

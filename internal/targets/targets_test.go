@@ -40,12 +40,12 @@ func TestDocSeedsValid(t *testing.T) {
 		if len(tgt.DocSeeds) < 3 {
 			t.Errorf("%s: only %d doc seeds", tgt.Name, len(tgt.DocSeeds))
 		}
-		p := cfg.NewParser(tgt.Grammar)
+		c := cfg.Compile(tgt.Grammar)
 		for _, s := range tgt.DocSeeds {
 			if !tgt.Oracle.Accepts(s) {
 				t.Errorf("%s: oracle rejects doc seed %q", tgt.Name, s)
 			}
-			if !p.Accepts(s) {
+			if !c.Accepts(s) {
 				t.Errorf("%s: grammar rejects doc seed %q", tgt.Name, s)
 			}
 		}
@@ -56,7 +56,8 @@ func TestDocSeedsValid(t *testing.T) {
 // accepted by the hand parser — the two definitions of L* agree on members.
 func TestGrammarOracleAgreementOnSamples(t *testing.T) {
 	for _, tgt := range All() {
-		sm := cfg.NewSampler(tgt.Grammar, 26)
+		sm := cfg.Compile(tgt.Grammar)
+		sm.MaxDepth = 26
 		rng := rand.New(rand.NewSource(13))
 		for i := 0; i < 400; i++ {
 			s := sm.Sample(rng)
@@ -68,22 +69,22 @@ func TestGrammarOracleAgreementOnSamples(t *testing.T) {
 }
 
 // TestGrammarOracleAgreementOnMutants: random single-byte mutations of
-// samples must classify identically under the Earley parser and the hand
-// parser — the two definitions agree on non-members too.
+// samples must classify identically under the compiled grammar and the
+// hand parser — the two definitions agree on non-members too.
 func TestGrammarOracleAgreementOnMutants(t *testing.T) {
 	for _, tgt := range All() {
-		p := cfg.NewParser(tgt.Grammar)
-		sm := cfg.NewSampler(tgt.Grammar, 22)
+		c := cfg.Compile(tgt.Grammar)
+		c.MaxDepth = 22
 		rng := rand.New(rand.NewSource(29))
 		alphabet := []byte("abcz019 <>/()[]{}\"'\\.*|=&?#:;\n-")
 		for i := 0; i < 120; i++ {
-			s := sm.Sample(rng)
+			s := c.Sample(rng)
 			for k := 0; k < 6; k++ {
 				m := mutate(rng, s, alphabet)
 				if len(m) > 120 {
 					continue
 				}
-				want := p.Accepts(m)
+				want := c.Accepts(m)
 				got := tgt.Oracle.Accepts(m)
 				if got != want {
 					t.Fatalf("%s: oracle=%v grammar=%v on %q (mutant of %q)",
