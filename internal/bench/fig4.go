@@ -79,13 +79,13 @@ func Fig4(ctx context.Context, c Config) []LearnerRow {
 		rng := rand.New(rand.NewSource(c.RandSeed))
 		seeds := tgt.SampleSeeds(rng, c.Seeds)
 		for _, learner := range Learners {
-			rows = append(rows, runLearner(ctx, c, tgt, learner, seeds, rng))
+			rows = append(rows, runLearner(ctx, c, tgt, learner, seeds))
 		}
 	}
 	return rows
 }
 
-func runLearner(ctx context.Context, c Config, tgt *targets.Target, learner string, seeds []string, rng *rand.Rand) LearnerRow {
+func runLearner(ctx context.Context, c Config, tgt *targets.Target, learner string, seeds []string) LearnerRow {
 	row := LearnerRow{Target: tgt.Name, Learner: learner}
 	truth := targetLang(tgt)
 	start := time.Now()

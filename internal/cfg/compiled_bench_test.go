@@ -3,9 +3,9 @@ package cfg_test
 // Microbenchmarks pitting the compiled engine against the map-based
 // Parser/Sampler on grammars learned from the §8.3 sed and xml programs.
 // All report allocations, so `go test -bench` makes allocation regressions
-// on the membership and sampling hot paths visible.
+// on the membership and sampling hot paths, and in Compile, visible.
 //
-//	go test -bench 'Accepts|Sample' -benchmem ./internal/cfg/
+//	go test -bench 'Accepts|Sample|Compile' -benchmem ./internal/cfg/
 
 import (
 	"context"
@@ -131,4 +131,19 @@ func BenchmarkSample(b *testing.B) {
 			}
 		})
 	})
+}
+
+// BenchmarkCompile measures Compile on the pinned golden sed and xml
+// grammars: the set-up every campaign, fuzzer and served grammar pays
+// before its first query, most of it the prefilter's subset construction.
+func BenchmarkCompile(b *testing.B) {
+	for _, name := range []string{"sed", "xml"} {
+		b.Run(name, func(b *testing.B) {
+			g := loadGolden(b, "golden_"+name+"_w1.grammar")
+			b.ReportAllocs()
+			for b.Loop() {
+				cfg.Compile(g)
+			}
+		})
+	}
 }

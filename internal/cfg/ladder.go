@@ -60,8 +60,8 @@ func (c *Compiled) Accepts(input string) bool {
 }
 
 // AcceptsRung answers membership and reports which rung decided — the
-// introspection hook behind the differential suite and the parse
-// benchmark's per-rung accounting.
+// introspection hook behind the differential tests and perfbench serve's
+// per-rung shares (cfg.dfa_share, cfg.earley_share).
 func (c *Compiled) AcceptsRung(input string) (bool, Rung) {
 	if c.dfa != nil && !c.dfa.mayAccept(input) {
 		return false, RungDFA
@@ -78,8 +78,8 @@ func (c *Compiled) AcceptsRung(input string) (bool, Rung) {
 }
 
 // AcceptsEarley answers membership using only the Earley rung — the
-// reference the other rungs are differentially tested against (and the
-// engine PR 4 shipped, for benchmarking the ladder's gain).
+// reference the differential tests hold the other rungs to, and the
+// verdict perfbench serve checks every ladder answer against.
 func (c *Compiled) AcceptsEarley(input string) bool {
 	sc := c.getScratch()
 	ok := c.run(sc, input)

@@ -1,6 +1,10 @@
 package cfg
 
-import "math/bits"
+import (
+	"encoding/binary"
+	"math/bits"
+	"slices"
+)
 
 // prefilter.go is the first rung of the recognition ladder: a DFA over a
 // regular over-approximation of the grammar's language, used as an O(n),
@@ -18,9 +22,13 @@ import "math/bits"
 // DFA acceptance means only "maybe" and hands off to the next rung.
 //
 // The subset construction runs over byte-equivalence classes (bytes that
-// no terminal class distinguishes share a DFA column) and is bounded by
-// state and work budgets; grammars whose approximation explodes simply
-// run without a prefilter.
+// no terminal class distinguishes share a DFA column) and composes its
+// ε-closures instead of searching for them. A dotted state's ε-edges
+// depend only on the nonterminal after its dot (calls) or on the one whose
+// production it ends (returns), so two closure bitsets per nonterminal,
+// one DFS each, close any set of states by word-wise OR. The construction
+// is bounded by state and work budgets; grammars whose approximation
+// explodes simply run without a prefilter.
 
 const (
 	// maxPrefilterNFAStates bounds the dotted-state NFA: grammars larger
@@ -30,9 +38,10 @@ const (
 	// maxPrefilterDFAStates bounds the determinized automaton; the classic
 	// 2^n blow-up grammars hit this and fall back to filterless operation.
 	maxPrefilterDFAStates = 2048
-	// prefilterWorkBudget bounds total elementary construction steps so
-	// Compile stays cheap even on adversarial (e.g. fuzz-generated)
-	// grammars.
+	// prefilterWorkBudget bounds total elementary construction steps
+	// (NFA edges, byte-class probes, one step per column for each terminal
+	// member of each DFA state) plus the closure tables' words, so Compile
+	// stays cheap even on adversarial (e.g. fuzz-generated) grammars.
 	prefilterWorkBudget = 1 << 24
 )
 
@@ -73,16 +82,17 @@ func (c *Compiled) buildPrefilter() *prefilter {
 		return nil
 	}
 	budget := prefilterWorkBudget
+	numNT := int32(c.NumNT())
 
 	// NFA over dotted states, reusing the compiled recognizer's encoding:
 	// ds(p, dot) = prodOff[p] + p + dot, so ds+1 is "dot advanced by one".
+	// A state before a terminal has no ε-edges; one before nonterminal X
+	// calls X's production starts; the end of a production of Y returns
+	// to afterNT[Y]. tabOf names the closure table those edges reach.
 	symCls := make([]int32, numStates) // terminal class at the dot, or -1
-	eps := make([][]int32, numStates)  // ε-edges (call entries + returns)
+	tabOf := make([]int32, numStates)  // X for a call, numNT+Y for a return, or -1
 	acc := make([]bool, numStates)     // production ends of the start NT
-	afterNT := make([][]int32, c.NumNT())
-	for i := range symCls {
-		symCls[i] = -1
-	}
+	afterNT := make([][]int32, numNT)
 	for p := 0; p < c.numProds(); p++ {
 		base := int(c.prodOff[p]) + p
 		n := c.prodLen(int32(p))
@@ -91,27 +101,20 @@ func (c *Compiled) buildPrefilter() *prefilter {
 			s := c.arena[int(c.prodOff[p])+dot]
 			ds := base + dot
 			if s < 0 {
-				symCls[ds] = ^s
+				symCls[ds], tabOf[ds] = ^s, -1
 				continue
 			}
-			// Call edges into every production of s; the matching return
-			// edge is registered below once afterNT is complete.
-			for q := c.ntProd[s]; q < c.ntProd[s+1]; q++ {
-				eps[ds] = append(eps[ds], c.prodOff[q]+q)
-			}
+			symCls[ds], tabOf[ds] = -1, s
 			afterNT[s] = append(afterNT[s], int32(ds+1))
 		}
-		if c.prodNT[p] == c.start {
-			acc[base+n] = true
-		}
+		symCls[base+n], tabOf[base+n] = -1, numNT+c.prodNT[p]
+		acc[base+n] = c.prodNT[p] == c.start
 	}
 	if budget < 0 {
 		return nil
 	}
 	for p := 0; p < c.numProds(); p++ {
-		end := int(c.prodOff[p]) + p + c.prodLen(int32(p))
-		eps[end] = append(eps[end], afterNT[c.prodNT[p]]...)
-		budget -= len(afterNT[c.prodNT[p]])
+		budget -= len(afterNT[c.prodNT[p]]) // one return edge each
 	}
 	if budget < 0 {
 		return nil
@@ -146,92 +149,85 @@ func (c *Compiled) buildPrefilter() *prefilter {
 		return nil
 	}
 	d.width = int32(len(reps))
-
-	// Subset construction over bitsets of NFA states.
-	words := (numStates + 63) / 64
-	if words == 0 {
-		words = 1
+	if c.ntProd[c.start] == c.ntProd[c.start+1] {
+		return d // start == -1: the empty language rejects everything
 	}
-	closure := func(set []uint64, stack []int32) {
-		for len(stack) > 0 {
-			ds := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, t := range eps[ds] {
-				if set[t>>6]&(1<<(t&63)) == 0 {
-					set[t>>6] |= 1 << (t & 63)
-					stack = append(stack, t)
-				}
+	moves := make([][]int32, len(c.classes)) // the columns class k matches
+	for k, set := range c.classes {
+		for e, b := range reps {
+			if set.Has(b) {
+				moves[k] = append(moves[k], int32(e))
 			}
 		}
 	}
-	setKey := func(set []uint64) string {
-		b := make([]byte, 0, words*8)
-		for _, w := range set {
-			b = append(b, byte(w), byte(w>>8), byte(w>>16), byte(w>>24),
-				byte(w>>32), byte(w>>40), byte(w>>48), byte(w>>56))
-		}
-		return string(b)
-	}
 
-	start := make([]uint64, words)
+	// The closure tables: row X is the closure of X's production starts,
+	// row numNT+Y that of afterNT[Y], so closure(ds) = {ds} ∪ row tabOf[ds].
+	words := max((numStates+63)/64, 1)
+	if budget -= 2 * int(numNT) * words; budget < 0 {
+		return nil
+	}
+	tabs := make([]uint64, 2*int(numNT)*words)
+	tab := func(r int32) []uint64 { return tabs[int(r)*words : int(r+1)*words] }
 	var stack []int32
-	for q := c.ntProd[c.start]; q < c.ntProd[c.start+1]; q++ {
-		ds := c.prodOff[q] + q
-		if start[ds>>6]&(1<<(ds&63)) == 0 {
-			start[ds>>6] |= 1 << (ds & 63)
-			stack = append(stack, ds)
+	visit := func(set []uint64, t int32) {
+		if set[t>>6]&(1<<(t&63)) == 0 {
+			set[t>>6] |= 1 << (t & 63)
+			stack = append(stack, t)
 		}
 	}
-	closure(start, stack)
-	empty := true
-	for _, w := range start {
-		if w != 0 {
-			empty = false
-			break
+	follow := func(set []uint64, r int32) { // visit the targets of row r's edges
+		if r >= numNT {
+			for _, t := range afterNT[r-numNT] {
+				visit(set, t)
+			}
+			return
+		}
+		for q := c.ntProd[r]; q < c.ntProd[r+1]; q++ {
+			visit(set, c.prodOff[q]+q)
 		}
 	}
-	if empty {
-		return d // start == -1: the empty language rejects everything
+	for r := int32(0); r < 2*numNT; r++ {
+		follow(tab(r), r)
+		for len(stack) > 0 {
+			t := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if tabOf[t] >= 0 {
+				follow(tab(r), tabOf[t])
+			}
+		}
 	}
 
-	index := map[string]int32{setKey(start): 0}
-	sets := [][]uint64{start}
-	d.start = 0
-	for si := 0; si < len(sets); si++ {
-		set := sets[si]
-		accepting := false
-		row := make([]int32, d.width)
-		for e := int32(0); e < d.width; e++ {
-			row[e] = -1
+	// Subset construction over bitsets of NFA states, numbered in the
+	// order they are found. A state's kernel pairs each member before a
+	// terminal with its class; sorted, the pairs group by class, so each
+	// class's part is closed once and OR-ed into every column it matches.
+	sets := slices.Clone(tab(c.start)) // state i is sets[i*words:][:words]
+	var keyBuf []byte
+	keyOf := func(set []uint64) []byte {
+		keyBuf = keyBuf[:0]
+		for _, w := range set {
+			keyBuf = binary.LittleEndian.AppendUint64(keyBuf, w)
 		}
-		// One pass over the members fills every column of this state's row.
-		next := make([][]uint64, d.width)
-		var nextStacks [][]int32
-		nextStacks = make([][]int32, d.width)
-		for wi, w := range set {
+		return keyBuf
+	}
+	index := map[string]int32{string(keyOf(sets)): 0}
+	d.start = 0
+	next := make([]uint64, int(d.width)*words) // the successor set per column
+	hit := make([]bool, d.width)
+	closed := make([]uint64, words)
+	var kernel []uint64 // class<<32 | ds+1
+	for si := 0; si*words < len(sets); si++ {
+		accepting := false
+		kernel = kernel[:0]
+		for wi, w := range sets[si*words : (si+1)*words] {
 			for w != 0 {
 				ds := int32(wi<<6 + bits.TrailingZeros64(w))
 				w &= w - 1
-				if acc[ds] {
-					accepting = true
-				}
-				k := symCls[ds]
-				if k < 0 {
-					continue
-				}
-				for e := int32(0); e < d.width; e++ {
-					budget--
-					if !c.classes[k].Has(reps[e]) {
-						continue
-					}
-					if next[e] == nil {
-						next[e] = make([]uint64, words)
-					}
-					t := ds + 1
-					if next[e][t>>6]&(1<<(t&63)) == 0 {
-						next[e][t>>6] |= 1 << (t & 63)
-						nextStacks[e] = append(nextStacks[e], t)
-					}
+				accepting = accepting || acc[ds]
+				if k := symCls[ds]; k >= 0 {
+					budget -= int(d.width)
+					kernel = append(kernel, uint64(k)<<32|uint64(ds+1))
 				}
 			}
 		}
@@ -239,24 +235,48 @@ func (c *Compiled) buildPrefilter() *prefilter {
 			return nil
 		}
 		d.accept = append(d.accept, accepting)
-		for e := int32(0); e < d.width; e++ {
-			if next[e] == nil {
-				continue
-			}
-			closure(next[e], nextStacks[e])
-			k := setKey(next[e])
-			id, ok := index[k]
-			if !ok {
-				if len(sets) >= maxPrefilterDFAStates {
-					return nil
+		slices.Sort(kernel)
+		for i := 0; i < len(kernel); {
+			k := kernel[i] >> 32
+			clear(closed)
+			for ; i < len(kernel) && kernel[i]>>32 == k; i++ {
+				t := int32(uint32(kernel[i]))
+				closed[t>>6] |= 1 << (t & 63)
+				if tabOf[t] >= 0 {
+					orInto(closed, tab(tabOf[t]))
 				}
-				id = int32(len(sets))
-				index[k] = id
-				sets = append(sets, next[e])
 			}
-			row[e] = id
+			for _, e := range moves[k] {
+				orInto(next[int(e)*words:int(e+1)*words], closed)
+				hit[e] = true
+			}
 		}
-		d.delta = append(d.delta, row...)
+		// Intern each column's successor in order; the lookup does not
+		// allocate, only a new state's key and set are stored.
+		for e := range hit {
+			id := int32(-1)
+			if hit[e] {
+				col := next[e*words : (e+1)*words]
+				var ok bool
+				if id, ok = index[string(keyOf(col))]; !ok {
+					if id = int32(len(sets) / words); id >= maxPrefilterDFAStates {
+						return nil
+					}
+					index[string(keyBuf)] = id
+					sets = append(sets, col...)
+				}
+				clear(col)
+				hit[e] = false
+			}
+			d.delta = append(d.delta, id)
+		}
 	}
 	return d
+}
+
+// orInto sets dst |= src, word by word.
+func orInto(dst, src []uint64) {
+	for i, w := range src {
+		dst[i] |= w
+	}
 }

@@ -7,17 +7,26 @@ package cfg_test
 // weight), and the learned sed/xml grammars must keep their intended
 // ladder shapes — xml lowers to the VM, sed's hidden left recursion
 // (A1 ⇒ A1b A1 with A1b ⇒* A1 A1) correctly refuses the VM and runs
-// DFA → Earley.
+// DFA → Earley. TestPrefilterTables pins the DFA itself, table for table.
 
 import (
+	"crypto/sha256"
+	"flag"
+	"fmt"
+	"maps"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"glade/internal/bytesets"
 	"glade/internal/cfg"
 	"glade/internal/programs"
 )
+
+var updatePrefilter = flag.Bool("update-prefilter", false, "rewrite testdata/prefilter.txt from the current prefilter builder")
 
 // loadGolden parses one pinned learned grammar from the core package's
 // golden testdata.
@@ -112,6 +121,84 @@ func TestPrefilterExactOnRegularGrammar(t *testing.T) {
 		}
 		if !want && rung != cfg.RungDFA {
 			t.Fatalf("reject of %q took the %s rung, want dfa (approximation is exact)", in, rung)
+		}
+	}
+}
+
+// chainGrammar returns S → L a Rn, L → [ab] L | ε, Rk → [ab] Rk-1, R0 → ε:
+// the regular language (a|b)*a(a|b)^n, whose subset construction needs a
+// state for every set of the last n+1 positions that held an a.
+func chainGrammar(n int) *cfg.Grammar {
+	g := cfg.New()
+	s, l := g.AddNT("S"), g.AddNT("L")
+	ab := cfg.T(bytesets.Of('a', 'b'))
+	g.Add(l, ab, cfg.N(l))
+	g.Add(l)
+	r := g.AddNT("R0")
+	g.Add(r)
+	for k := 1; k <= n; k++ {
+		next := g.AddNT(fmt.Sprintf("R%d", k))
+		g.Add(next, ab, cfg.N(r))
+		r = next
+	}
+	g.Add(s, cfg.N(l), cfg.TByte('a'), cfg.N(r))
+	return g
+}
+
+// TestPrefilterTables pins the DFA Compile builds — state numbering,
+// transition table, accept bits, and whether there is one at all — on the
+// four golden grammars, the pathological set, the (a|b)*a(a|b)^n chain at
+// n = 8 and at n = 10 (past the state cap), and 2,000 random grammars (one
+// digest per block of 100), against testdata/prefilter.txt.
+//
+// The file was produced at the commit before the builder composed its
+// ε-closures from per-nonterminal tables, by running
+//
+//	go test ./internal/cfg -run TestPrefilterTables -update-prefilter
+//
+// there. A change that only makes the builder faster must leave it
+// untouched.
+func TestPrefilterTables(t *testing.T) {
+	var got []string
+	pin := func(name string, g *cfg.Grammar) {
+		got = append(got, name+" "+cfg.PrefilterDigest(cfg.Compile(g)))
+	}
+	for _, name := range []string{"golden_sed_w1", "golden_sed_w8", "golden_xml_w1", "golden_xml_w8"} {
+		pin(name, loadGolden(t, name+".grammar"))
+	}
+	paths := pathologicalGrammars()
+	for _, name := range slices.Sorted(maps.Keys(paths)) {
+		pin(name, paths[name])
+	}
+	pin("chain-8", chainGrammar(8))
+	pin("chain-10", chainGrammar(10))
+	rng := rand.New(rand.NewSource(1))
+	for lo := 0; lo < 2000; lo += 100 {
+		h := sha256.New()
+		for i := 0; i < 100; i++ {
+			fmt.Fprintln(h, cfg.PrefilterDigest(cfg.Compile(randomGrammar(rng))))
+		}
+		got = append(got, fmt.Sprintf("random-%d-%d %x", lo, lo+99, h.Sum(nil)))
+	}
+
+	path := filepath.Join("testdata", "prefilter.txt")
+	if *updatePrefilter {
+		if err := os.WriteFile(path, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing fixture: %v", err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	if len(want) != len(got) {
+		t.Fatalf("prefilter.txt has %d lines, the test pins %d", len(want), len(got))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Errorf("prefilter.txt drift:\n got %s\nwant %s", got[i], want[i])
 		}
 	}
 }

@@ -136,10 +136,17 @@ type base struct {
 	parse func(t *tracer, input string) bool
 }
 
-func (b *base) Name() string    { return b.name }
-func (b *base) Seeds() []string { return append([]string(nil), b.seeds...) }
-func (b *base) NumPoints() int  { return b.reg.numPoints() }
+// Name returns the program's name.
+func (b *base) Name() string { return b.name }
 
+// Seeds returns a copy of the program's bundled seed inputs.
+func (b *base) Seeds() []string { return append([]string(nil), b.seeds...) }
+
+// NumPoints returns the number of coverage points registered so far.
+func (b *base) NumPoints() int { return b.reg.numPoints() }
+
+// Run parses input with a fresh tracer and returns its verdict and the
+// coverage points it hit.
 func (b *base) Run(input string) Result {
 	t := newTracer(b.reg)
 	ok := b.parse(t, input)
