@@ -23,7 +23,7 @@ lint:
 		echo "gofmt needed on:" >&2; echo "$$unformatted" >&2; exit 1; \
 	fi
 	go vet ./...
-	go run ./scripts/doccheck . internal/service internal/fuzz internal/campaign internal/oracle internal/oracle/registry internal/metrics internal/core internal/telemetry internal/cluster internal/cfg internal/rpni internal/targets internal/programs
+	go run ./scripts/doccheck . internal/service internal/fuzz internal/campaign internal/oracle internal/oracle/registry internal/metrics internal/core internal/telemetry internal/cluster internal/cfg internal/rpni internal/targets internal/programs internal/automata internal/bench internal/bytesets internal/lstar internal/rex
 	go run ./scripts/apilock
 	./scripts/linkcheck.sh
 

@@ -42,7 +42,7 @@ func main() {
 
 	fmt.Println("Learning from seed \"<a>hi</a>\" (Figure 2 trace):")
 	res, err := glade.LearnContext(context.Background(), []string{"<a>hi</a>"},
-		glade.AsCheckOracle(glade.OracleFunc(valid)), opts)
+		glade.OracleFunc(valid), opts)
 	if err != nil {
 		panic(err)
 	}

@@ -22,7 +22,7 @@ func main() {
 		fmt.Printf("  %s\n", s)
 	}
 
-	res, err := glade.LearnContext(context.Background(), seeds, glade.AsCheckOracle(tgt.Oracle), glade.DefaultOptions())
+	res, err := glade.LearnContext(context.Background(), seeds, tgt.Oracle, glade.DefaultOptions())
 	if err != nil {
 		panic(err)
 	}
@@ -34,7 +34,7 @@ func main() {
 	ok := 0
 	const n = 300
 	for i := 0; i < n; i++ {
-		if tgt.Oracle.Accepts(glade.Sample(res.Grammar, rng)) {
+		if tgt.Oracle(glade.Sample(res.Grammar, rng)) {
 			ok++
 		}
 	}

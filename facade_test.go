@@ -1,6 +1,7 @@
 package glade
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -31,7 +32,7 @@ func learnDyck(t *testing.T) *Result {
 	t.Helper()
 	opts := DefaultOptions()
 	opts.GenAlphabet = bytesets.OfString("()")
-	res, err := Learn([]string{"(())"}, OracleFunc(dyck), opts)
+	res, err := LearnContext(context.Background(), []string{"(())"}, OracleFunc(dyck), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestSeedsAlwaysCovered(t *testing.T) {
 			}
 			opts := DefaultOptions()
 			opts.GenAlphabet = bytesets.OfString("()xy")
-			res, err := Learn(seeds, OracleFunc(o), opts)
+			res, err := LearnContext(context.Background(), seeds, OracleFunc(o), opts)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}

@@ -9,7 +9,7 @@ import (
 	"glade/internal/bytesets"
 )
 
-// dyckCheck is the v2-contract version of the dyck oracle.
+// dyckCheck is the verdict-function version of the dyck oracle.
 func dyckCheck(ctx context.Context, s string) (Verdict, error) {
 	if err := ctx.Err(); err != nil {
 		return VerdictReject, err
@@ -20,22 +20,22 @@ func dyckCheck(ctx context.Context, s string) (Verdict, error) {
 	return VerdictReject, nil
 }
 
-// TestLearnContextMatchesDeprecatedShim pins the migration contract: the
-// v2 entry point and the deprecated Learn shim synthesize byte-identical
-// grammars from the same inputs.
-func TestLearnContextMatchesDeprecatedShim(t *testing.T) {
+// TestOracleFuncMatchesCheckOracleFunc pins the predicate path against
+// the verdict path: learning Dyck through OracleFunc and through
+// CheckOracleFunc synthesizes byte-identical grammars.
+func TestOracleFuncMatchesCheckOracleFunc(t *testing.T) {
 	opts := DefaultOptions()
 	opts.GenAlphabet = bytesets.OfString("()")
-	v2, err := LearnContext(context.Background(), []string{"(())"}, CheckOracleFunc(dyckCheck), opts)
+	viaVerdicts, err := LearnContext(context.Background(), []string{"(())"}, CheckOracleFunc(dyckCheck), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1, err := Learn([]string{"(())"}, OracleFunc(dyck), opts)
+	viaPredicate, err := LearnContext(context.Background(), []string{"(())"}, OracleFunc(dyck), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v1.Grammar.String() != v2.Grammar.String() {
-		t.Fatal("v1 shim and v2 entry point learned different grammars")
+	if viaPredicate.Grammar.String() != viaVerdicts.Grammar.String() {
+		t.Fatal("OracleFunc and CheckOracleFunc learned different grammars")
 	}
 }
 
@@ -98,7 +98,7 @@ func TestCheckAllFacade(t *testing.T) {
 	for _, o := range []CheckOracle{
 		CheckOracleFunc(dyckCheck),
 		ParallelCheckOracle(CheckOracleFunc(dyckCheck), 4),
-		AsCheckOracle(OracleFunc(dyck)),
+		OracleFunc(dyck),
 	} {
 		got, err := CheckAll(context.Background(), o, inputs, 4)
 		if err != nil {

@@ -19,13 +19,13 @@
 //	internal/fuzz     naive / afl-style / grammar-based fuzzers
 //	internal/telemetry metrics registry, phase tracing, Prometheus text
 //
-// # The v2 API: contexts and verdicts
+// # Contexts and verdicts
 //
-// The primary oracle contract is CheckOracle: Check(ctx, input) answers
-// with a Verdict — VerdictAccept, VerdictReject, VerdictCrash (the target
-// died on a signal), VerdictTimeout (the per-query deadline killed it) —
-// and an error that means the oracle itself failed, which aborts learning
-// instead of silently reading as a rejection. LearnContext threads the
+// The oracle contract is CheckOracle: Check(ctx, input) answers with a
+// Verdict — VerdictAccept, VerdictReject, VerdictCrash (the target died on
+// a signal), VerdictTimeout (the per-query deadline killed it) — and an
+// error that means the oracle itself failed, which aborts learning instead
+// of silently reading as a rejection. LearnContext threads the
 // context through every phase: cancel it and learning returns within one
 // oracle wave, wrapping ctx.Err().
 //
@@ -42,8 +42,8 @@
 //	fz := glade.NewGrammarFuzzer(res.Grammar, seeds)
 //	input := fz.Next(rng)
 //
-// Plain boolean predicates still work — OracleFunc builds a v1 Oracle and
-// AsCheckOracle (or the deprecated Learn shim) adapts it.
+// A plain boolean predicate becomes a CheckOracle through OracleFunc
+// (true ↦ VerdictAccept, false ↦ VerdictReject, a panic ↦ VerdictCrash).
 //
 // Oracle queries dominate learning cost — every candidate generalization is
 // one blackbox program run. Setting Options.Workers > 1 issues independent
@@ -90,7 +90,7 @@ const (
 	VerdictTimeout = oracle.Timeout
 )
 
-// CheckOracle is the v2 oracle contract: Check(ctx, input) answers one
+// CheckOracle is the oracle contract: Check(ctx, input) answers one
 // membership query with a Verdict and an error (the error means the oracle
 // itself failed — cancellation, a missing binary — and aborts learning).
 type CheckOracle = oracle.CheckOracle
@@ -104,12 +104,6 @@ type BatchCheckOracle = oracle.BatchCheckOracle
 func CheckOracleFunc(f func(ctx context.Context, input string) (Verdict, error)) CheckOracle {
 	return oracle.CheckFunc(f)
 }
-
-// AsCheckOracle adapts a v1 boolean Oracle to the CheckOracle contract
-// (true ↦ VerdictAccept, false ↦ VerdictReject; cancellation observed
-// between queries). Oracles that already implement CheckOracle pass
-// through unchanged.
-func AsCheckOracle(o Oracle) CheckOracle { return oracle.AsCheck(o) }
 
 // CheckAll answers every query: through o's bulk path when it provides
 // one, otherwise fanning Check calls across at most workers goroutines.
@@ -127,17 +121,10 @@ func ParallelCheckOracle(inner CheckOracle, workers int) BatchCheckOracle {
 	return oracle.Parallel(inner, workers)
 }
 
-// Oracle answers boolean membership queries: does the program accept this
-// input? It remains the convenient contract for pure in-process
-// predicates; wrap with AsCheckOracle where a CheckOracle is required.
-type Oracle = oracle.Oracle
-
-// OracleFunc adapts a plain predicate to an Oracle (which also satisfies
-// CheckOracle: true ↦ VerdictAccept, false ↦ VerdictReject).
-func OracleFunc(f func(string) bool) Oracle { return oracle.Func(f) }
-
-// BatchOracle is an Oracle with a concurrent bulk path (v1 contract).
-type BatchOracle = oracle.BatchOracle
+// OracleFunc adapts a plain predicate to a CheckOracle: true ↦
+// VerdictAccept, false ↦ VerdictReject, and a panic ↦ VerdictCrash.
+// Cancellation is observed between queries.
+func OracleFunc(f func(string) bool) CheckOracle { return oracle.Func(f) }
 
 // OracleSpec is the one oracle-construction description shared by the
 // CLIs (-oracle flags), the HTTP API, and stored grammar metadata:
@@ -178,16 +165,6 @@ func RegisteredOracles() []OracleRegistration { return oracle.NamedOracles() }
 // Check method reports signal deaths as VerdictCrash and a command that
 // cannot run at all as an error.
 func ExecOracle(argv ...string) *oracle.Exec { return &oracle.Exec{Argv: argv} }
-
-// ParallelOracle fans batched queries of a concurrency-safe oracle across
-// at most workers goroutines.
-//
-// Deprecated: use ParallelCheckOracle, which carries context cancellation
-// through the wave. This shim adapts boolean oracles and keeps the v1
-// return type.
-func ParallelOracle(inner Oracle, workers int) BatchOracle {
-	return oracle.Parallel(oracle.AsCheck(inner), workers)
-}
 
 // ResilientOracle wraps a CheckOracle with bounded retries for transient
 // failures and a per-oracle circuit breaker. Verdicts are never retried —
@@ -301,14 +278,6 @@ func NewNDJSONTracer(w io.Writer) *telemetry.NDJSONTracer {
 // Options.Timeout, by contrast, finalizes the language learned so far.
 func LearnContext(ctx context.Context, seeds []string, o CheckOracle, opts Options) (*Result, error) {
 	return core.Learn(ctx, seeds, o, opts)
-}
-
-// Learn synthesizes a grammar for the oracle's language from seed inputs.
-//
-// Deprecated: use LearnContext, which can be cancelled and distinguishes
-// oracle failure from rejection. Learn runs under context.Background().
-func Learn(seeds []string, o Oracle, opts Options) (*Result, error) {
-	return core.Learn(context.Background(), seeds, oracle.AsCheck(o), opts)
 }
 
 // DefaultSampleDepth is the sampling depth budget used by Sample and the

@@ -1,6 +1,7 @@
 package glade
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -19,7 +20,7 @@ func TestEndToEndXMLTarget(t *testing.T) {
 	tgt := targets.XML()
 	opts := DefaultOptions()
 	opts.Timeout = 60 * time.Second
-	res, err := Learn(tgt.DocSeeds, tgt.Oracle, opts)
+	res, err := LearnContext(context.Background(), tgt.DocSeeds, tgt.Oracle, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,10 +35,10 @@ func TestEndToEndXMLTarget(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	gValid, nValid := 0, 0
 	for i := 0; i < 300; i++ {
-		if tgt.Oracle.Accepts(fz.Next(rng)) {
+		if tgt.Oracle(fz.Next(rng)) {
 			gValid++
 		}
-		if tgt.Oracle.Accepts(naive.Next(rng)) {
+		if tgt.Oracle(naive.Next(rng)) {
 			nValid++
 		}
 	}
@@ -54,7 +55,7 @@ func TestEndToEndProgramPipeline(t *testing.T) {
 	o := OracleFunc(func(s string) bool { return p.Run(s).OK })
 	opts := DefaultOptions()
 	opts.Timeout = 60 * time.Second
-	res, err := Learn(p.Seeds(), o, opts)
+	res, err := LearnContext(context.Background(), p.Seeds(), o, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,13 +78,15 @@ func TestExecOracle(t *testing.T) {
 	}
 	// Valid inputs: lines containing "ab" (grep -q exits 0 on match).
 	o := ExecOracle("grep", "-q", "ab")
-	if !o.Accepts("xxabyy") || o.Accepts("nope") {
+	yes, err1 := o.Check(context.Background(), "xxabyy")
+	no, err2 := o.Check(context.Background(), "nope")
+	if err1 != nil || err2 != nil || yes != VerdictAccept || no == VerdictAccept {
 		t.Skip("grep unavailable or behaves unexpectedly; skipping")
 	}
 	opts := DefaultOptions()
 	opts.GenAlphabet = bytesets.OfString("abxy")
 	opts.Timeout = 30 * time.Second
-	res, err := Learn([]string{"xaby"}, o, opts)
+	res, err := LearnContext(context.Background(), []string{"xaby"}, o, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 
 	"glade/internal/core"
 	"glade/internal/metrics"
-	"glade/internal/oracle"
 	"glade/internal/targets"
 )
 
@@ -49,7 +48,7 @@ func Ablations(ctx context.Context, c Config) []AblationRow {
 			opts.Timeout = c.Timeout
 			v.Apply(&opts)
 			start := time.Now()
-			res, err := core.Learn(ctx, seeds, oracle.AsCheck(tgt.Oracle), opts)
+			res, err := core.Learn(ctx, seeds, tgt.Oracle, opts)
 			if err != nil {
 				continue
 			}

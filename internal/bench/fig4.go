@@ -11,7 +11,6 @@ import (
 	"glade/internal/core"
 	"glade/internal/lstar"
 	"glade/internal/metrics"
-	"glade/internal/oracle"
 	"glade/internal/rpni"
 	"glade/internal/targets"
 )
@@ -96,7 +95,7 @@ func runLearner(ctx context.Context, c Config, tgt *targets.Target, learner stri
 		opts.Phase2 = learner == "glade"
 		opts.Timeout = c.Timeout
 		opts.Workers = c.Workers
-		res, err := core.Learn(ctx, seeds, oracle.AsCheck(tgt.Oracle), opts)
+		res, err := core.Learn(ctx, seeds, tgt.Oracle, opts)
 		if err != nil {
 			return row
 		}
@@ -167,7 +166,7 @@ func sampleNegatives(tgt *targets.Target, alphabet []byte, n int, rng *rand.Rand
 			b[i] = alphabet[rng.Intn(len(alphabet))]
 		}
 		s := string(b)
-		if !tgt.Oracle.Accepts(s) {
+		if !tgt.Oracle(s) {
 			out = append(out, s)
 		}
 	}
@@ -201,7 +200,7 @@ func Fig4c(ctx context.Context, c Config, counts []int) []SeedSweepRow {
 		opts.Timeout = c.Timeout
 		opts.Workers = c.Workers
 		start := time.Now()
-		res, err := core.Learn(ctx, all[:n], oracle.AsCheck(tgt.Oracle), opts)
+		res, err := core.Learn(ctx, all[:n], tgt.Oracle, opts)
 		if err != nil {
 			continue
 		}
@@ -222,7 +221,7 @@ func Fig5(ctx context.Context, c Config) map[string]string {
 		opts := core.DefaultOptions()
 		opts.Timeout = c.Timeout
 		opts.Workers = c.Workers
-		res, err := core.Learn(ctx, tgt.DocSeeds, oracle.AsCheck(tgt.Oracle), opts)
+		res, err := core.Learn(ctx, tgt.DocSeeds, tgt.Oracle, opts)
 		if err != nil {
 			out[tgt.Name] = "error: " + err.Error()
 			continue

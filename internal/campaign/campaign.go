@@ -6,7 +6,7 @@
 // Each wave draws a batch of candidates — mostly grammar-fuzzed, a
 // configurable fraction naively mutated — deduplicates them against a
 // bounded seen-set, executes them through the concurrent oracle engine
-// (oracle.Parallel over a metrics.QueryTimer, on the v2 verdict path), and
+// (oracle.Parallel over a metrics.QueryTimer, on the verdict path), and
 // triages each oracle.Verdict into a deduplicating corpus:
 //
 //	accept_flip  oracle accepts, grammar cannot parse (under-approximation)
@@ -60,10 +60,10 @@ type Config struct {
 	// Seeds are the example inputs the grammar was learned from; the
 	// grammar fuzzer starts every input from a parsed seed tree.
 	Seeds []string
-	// Oracle answers membership queries on the v2 verdict path; Crash and
-	// Timeout verdicts populate their corpus buckets regardless of the
-	// oracle's concrete type. Wrap a plain boolean oracle with
-	// oracle.AsCheck. It must be safe for concurrent use when Workers > 1.
+	// Oracle answers membership queries with verdicts; Crash and Timeout
+	// verdicts populate their corpus buckets regardless of the oracle's
+	// concrete type. Wrap a plain predicate with oracle.Func. It must be
+	// safe for concurrent use when Workers > 1.
 	Oracle oracle.CheckOracle
 	// DiffOracle, when non-nil, makes the campaign differential: every wave
 	// also runs through it, and inputs where its boolean answer disagrees

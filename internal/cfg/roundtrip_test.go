@@ -47,7 +47,7 @@ func TestMarshalRoundTripLearnedTargets(t *testing.T) {
 	for _, tgt := range targets.All() {
 		opts := core.DefaultOptions()
 		opts.Timeout = 30 * time.Second
-		res, err := core.Learn(context.Background(), tgt.DocSeeds, oracle.AsCheck(tgt.Oracle), opts)
+		res, err := core.Learn(context.Background(), tgt.DocSeeds, tgt.Oracle, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", tgt.Name, err)
 		}

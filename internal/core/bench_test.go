@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"glade/internal/oracle"
 	"glade/internal/targets"
 )
 
@@ -29,7 +28,7 @@ func BenchmarkLearn(b *testing.B) {
 		for i := range sets {
 			sets[i] = drawSeeds(tgt, rng, benchSeedBytes, benchSeedBytes+benchSeedBytes/8)
 		}
-		o := oracle.AsCheck(tgt.Oracle)
+		o := tgt.Oracle
 		opts := DefaultOptions()
 		opts.Workers = 1
 		b.Run(name, func(b *testing.B) {

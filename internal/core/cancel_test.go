@@ -11,7 +11,7 @@ import (
 	"glade/internal/oracle"
 )
 
-// TestLearnCancelReturnsPromptly is the cancellation contract of the v2
+// TestLearnCancelReturnsPromptly is the cancellation contract of the
 // learner: cancelling the context mid-phase makes Learn return quickly —
 // within one oracle wave — with an error wrapping ctx.Err(), and the
 // oracle stops being queried. Run under -race this also exercises the
@@ -76,7 +76,7 @@ func TestLearnCancelledBeforeStart(t *testing.T) {
 	}
 }
 
-// TestLearnSurfacesOracleError is the error half of the v2 contract: an
+// TestLearnSurfacesOracleError is the error half of the oracle contract: an
 // oracle that fails mid-run (as opposed to rejecting inputs) must abort
 // learning with that error — never silently read as "reject" and keep
 // synthesizing.

@@ -51,13 +51,13 @@ var oXML = oracle.Func(xmlParse)
 func TestXMLOracleSanity(t *testing.T) {
 	valid := []string{"", "hi", "<a></a>", "<a>hi</a>", "<a><a>x</a>y</a>", "ab<a>c</a>de"}
 	for _, s := range valid {
-		if !oXML.Accepts(s) {
+		if !oXML(s) {
 			t.Fatalf("oracle rejects valid %q", s)
 		}
 	}
 	invalid := []string{"<a>", "</a>", "<a>hi</a", "<a><a></a>", "A", "<b></b>", "<>"}
 	for _, s := range invalid {
-		if oXML.Accepts(s) {
+		if oXML(s) {
 			t.Fatalf("oracle accepts invalid %q", s)
 		}
 	}
@@ -168,7 +168,7 @@ func TestPrecisionOnXML(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for i := 0; i < 500; i++ {
 		s := sm.Sample(rng)
-		if !oXML.Accepts(s) {
+		if !oXML(s) {
 			t.Fatalf("sampled invalid string %q", s)
 		}
 	}
@@ -265,7 +265,7 @@ func TestMultiSeedUnion(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 300; i++ {
 		s := sm.Sample(rng)
-		if !o.Accepts(s) {
+		if !o(s) {
 			t.Fatalf("sampled invalid %q (shapes conflated)", s)
 		}
 	}
@@ -335,7 +335,7 @@ func TestDyck(t *testing.T) {
 	sm.MaxDepth = 20
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 300; i++ {
-		if s := sm.Sample(rng); !o.Accepts(s) {
+		if s := sm.Sample(rng); !o(s) {
 			t.Fatalf("sampled invalid %q", s)
 		}
 	}
@@ -374,7 +374,7 @@ func TestSeedAlwaysInLanguage(t *testing.T) {
 	for _, o := range oracles {
 		for trial := 0; trial < 6; trial++ {
 			seed := randomSeed(rng)
-			if !o.Accepts(seed) {
+			if !o(seed) {
 				continue
 			}
 			res, err := Learn(context.Background(), []string{seed}, o, opts)

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"glade/internal/cfg"
-	"glade/internal/oracle"
 	"glade/internal/targets"
 )
 
@@ -48,7 +47,7 @@ func learnCase(t *testing.T, tgt *targets.Target, k, workers int) *Result {
 	t.Helper()
 	opts := DefaultOptions()
 	opts.Workers = workers
-	res, err := Learn(context.Background(), decisionSeeds(tgt, k), oracle.AsCheck(tgt.Oracle), opts)
+	res, err := Learn(context.Background(), decisionSeeds(tgt, k), tgt.Oracle, opts)
 	if err != nil {
 		t.Fatalf("%s set=%d workers=%d: %v", tgt.Name, k, workers, err)
 	}

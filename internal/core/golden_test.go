@@ -15,7 +15,7 @@ import (
 // TestGoldenGrammars is the migration guarantee of the context/verdict
 // plumbing: the grammars learned for sed and xml at Workers 1 and 8 must be
 // byte-identical to the ones the pre-migration engine synthesized (the
-// committed testdata goldens). Any drift means the v2 oracle stack changed
+// committed testdata goldens). Any drift means the oracle stack changed
 // a decision the §4.2 scan makes, which the API redesign must never do.
 // The learner itself never calls the recognition ladder; the ladder's
 // verdicts on the learned grammar are checked against the reference parser

@@ -109,7 +109,7 @@ func TestParallelStatsConsistent(t *testing.T) {
 			for _, workers := range []int{1, 8} {
 				opts := DefaultOptions()
 				opts.Workers = workers
-				res, err := Learn(context.Background(), seeds, oracle.AsCheck(tgt.Oracle), opts)
+				res, err := Learn(context.Background(), seeds, tgt.Oracle, opts)
 				if err != nil {
 					t.Fatalf("%s set=%d workers=%d: %v", tgt.Name, k, workers, err)
 				}

@@ -13,13 +13,12 @@ import (
 	"time"
 
 	"glade/internal/automata"
-	"glade/internal/oracle"
 )
 
 // Teacher bundles what L-Star may ask about the target language.
 type Teacher struct {
 	// Oracle answers membership queries.
-	Oracle oracle.Oracle
+	Oracle func(string) bool
 	// Alphabet is the byte alphabet the learner works over.
 	Alphabet []byte
 	// Positives is a pool of known-valid strings (the seed inputs Ein);
@@ -129,7 +128,7 @@ func (l *learner) member(s string) bool {
 		return v
 	}
 	l.stats.MembershipQueries++
-	v := l.t.Oracle.Accepts(s)
+	v := l.t.Oracle(s)
 	l.memo[s] = v
 	return v
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"glade/internal/automata"
-	"glade/internal/oracle"
 	"glade/internal/rex"
 )
 
@@ -17,7 +16,7 @@ func exactTeacher(e rex.Expr, alphabet []byte, seed int64) (Teacher, *automata.D
 	truth := automata.FromRex(e, alphabet)
 	rng := rand.New(rand.NewSource(seed))
 	return Teacher{
-		Oracle:   oracle.Func(truth.Accepts),
+		Oracle:   truth.Accepts,
 		Alphabet: alphabet,
 		SamplePositive: func(r *rand.Rand) string {
 			if s, ok := automata.Sample(truth, r, 20, 0.3); ok {
@@ -73,7 +72,7 @@ func TestLearnIsMinimal(t *testing.T) {
 func TestWeakEquivalenceOracleCanUndergeneralize(t *testing.T) {
 	// Target: strings over {a,b} whose length is divisible by 5 — needs
 	// counterexamples of length >= 5 that random sampling may miss.
-	o := oracle.Func(func(s string) bool { return len(s)%5 == 0 })
+	o := func(s string) bool { return len(s)%5 == 0 }
 	teacher := Teacher{
 		Oracle:       o,
 		Alphabet:     []byte("ab"),
@@ -90,10 +89,10 @@ func TestWeakEquivalenceOracleCanUndergeneralize(t *testing.T) {
 
 func TestTimeout(t *testing.T) {
 	// A slow oracle forces the deadline to trip mid-run.
-	o := oracle.Func(func(s string) bool {
+	o := func(s string) bool {
 		time.Sleep(200 * time.Microsecond)
 		return strings.Count(s, "a")%3 == 0 && len(s)%2 == 0
-	})
+	}
 	teacher := Teacher{
 		Oracle:       o,
 		Alphabet:     []byte("abcd"),
@@ -113,7 +112,7 @@ func TestTimeout(t *testing.T) {
 
 func TestDefaultsApplied(t *testing.T) {
 	teacher := Teacher{
-		Oracle:   oracle.Func(func(s string) bool { return s == "" }),
+		Oracle:   func(s string) bool { return s == "" },
 		Alphabet: []byte("a"),
 	}
 	d, _ := Learn(teacher)

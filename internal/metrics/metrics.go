@@ -8,7 +8,6 @@ import (
 
 	"glade/internal/automata"
 	"glade/internal/cfg"
-	"glade/internal/oracle"
 )
 
 // Language is the minimal view the evaluator needs of a language: a
@@ -112,15 +111,15 @@ func (l *DFALang) Sample(rng *rand.Rand) (string, bool) {
 	return automata.Sample(l.D, rng, l.MaxLen, 0.25)
 }
 
-// OracleLang pairs an arbitrary membership oracle with an external sampler;
-// it is how a target (hand parser + ground-truth grammar) enters Evaluate.
+// OracleLang pairs a membership predicate with an external sampler; it is
+// how a target (hand parser + ground-truth grammar) enters Evaluate.
 type OracleLang struct {
-	O oracle.Oracle
+	O func(string) bool
 	S func(rng *rand.Rand) (string, bool)
 }
 
 // Accepts implements Language.
-func (l *OracleLang) Accepts(s string) bool { return l.O.Accepts(s) }
+func (l *OracleLang) Accepts(s string) bool { return l.O(s) }
 
 // Sample implements Language.
 func (l *OracleLang) Sample(rng *rand.Rand) (string, bool) { return l.S(rng) }

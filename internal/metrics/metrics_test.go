@@ -8,7 +8,6 @@ import (
 	"glade/internal/automata"
 	"glade/internal/bytesets"
 	"glade/internal/cfg"
-	"glade/internal/oracle"
 	"glade/internal/rex"
 )
 
@@ -94,7 +93,7 @@ func TestDFALang(t *testing.T) {
 
 func TestOracleLang(t *testing.T) {
 	l := &OracleLang{
-		O: oracle.Func(func(s string) bool { return s == "x" }),
+		O: func(s string) bool { return s == "x" },
 		S: func(rng *rand.Rand) (string, bool) { return "x", true },
 	}
 	e := Evaluate(l, l, 50, rand.New(rand.NewSource(5)))

@@ -77,12 +77,11 @@ func (s QueryStats) String() string {
 }
 
 // QueryTimer wraps an oracle and records per-query latency and throughput.
-// It implements both the single and bulk paths of the v2 CheckOracle
-// contract (plus the legacy boolean shims) and is safe for concurrent use,
-// so it can sit anywhere in the oracle stack — below the worker pool it
-// times individual program runs, above it it times whole waves. Queries
-// that end in an oracle error are still timed: the wall clock they burned
-// is real.
+// It implements both the single and bulk paths of the CheckOracle contract
+// and is safe for concurrent use, so it can sit anywhere in the oracle
+// stack — below the worker pool it times individual program runs, above it
+// it times whole waves. Queries that end in an oracle error are still
+// timed: the wall clock they burned is real.
 type QueryTimer struct {
 	inner oracle.CheckOracle
 
@@ -126,27 +125,6 @@ func (q *QueryTimer) CheckBatch(ctx context.Context, inputs []string) ([]oracle.
 	out, err := oracle.CheckAll(ctx, q.inner, inputs, 1)
 	q.record(start, time.Now(), len(inputs), true)
 	return out, err
-}
-
-// Accepts implements the legacy oracle.Oracle contract; errors read as
-// rejection.
-func (q *QueryTimer) Accepts(input string) bool {
-	v, err := q.Check(context.Background(), input)
-	return err == nil && v == oracle.Accept
-}
-
-// AcceptsBatch implements the legacy oracle.BatchOracle contract; a batch
-// error reads as all-rejected.
-func (q *QueryTimer) AcceptsBatch(inputs []string) []bool {
-	vs, err := q.CheckBatch(context.Background(), inputs)
-	out := make([]bool, len(inputs))
-	if err != nil {
-		return out
-	}
-	for i, v := range vs {
-		out[i] = v == oracle.Accept
-	}
-	return out
 }
 
 func (q *QueryTimer) record(start, end time.Time, n int, batch bool) {

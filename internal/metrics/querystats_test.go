@@ -15,10 +15,15 @@ func TestQueryTimerCounts(t *testing.T) {
 		time.Sleep(time.Millisecond)
 		return s == "yes"
 	}))
-	if !q.Accepts("yes") || q.Accepts("no") {
+	ctx := context.Background()
+	yes, err1 := q.Check(ctx, "yes")
+	no, err2 := q.Check(ctx, "no")
+	if yes != oracle.Accept || no != oracle.Reject || err1 != nil || err2 != nil {
 		t.Fatal("timer altered oracle answers")
 	}
-	q.AcceptsBatch([]string{"yes", "no", "yes"})
+	if _, err := q.CheckBatch(ctx, []string{"yes", "no", "yes"}); err != nil {
+		t.Fatal(err)
+	}
 	s := q.Snapshot()
 	if s.Queries != 5 {
 		t.Fatalf("Queries = %d, want 5", s.Queries)
@@ -57,7 +62,9 @@ func TestQueryTimerThroughputScales(t *testing.T) {
 
 	measure := func(workers int) QueryStats {
 		q := NewQueryTimer(slow)
-		oracle.Parallel(q, workers).AcceptsBatch(inputs)
+		if _, err := oracle.Parallel(q, workers).CheckBatch(context.Background(), inputs); err != nil {
+			t.Fatal(err)
+		}
 		return q.Snapshot()
 	}
 	seq := measure(1)
@@ -136,7 +143,7 @@ func TestQueryTimerConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				q.Accepts("x")
+				q.Check(context.Background(), "x")
 			}
 		}()
 	}

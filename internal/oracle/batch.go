@@ -25,9 +25,6 @@ func Parallel(inner CheckOracle, workers int) *Pool {
 	return &Pool{inner: inner, workers: workers}
 }
 
-// Workers returns the pool's concurrency bound.
-func (p *Pool) Workers() int { return p.workers }
-
 // Check implements CheckOracle by delegating a single query to the inner
 // oracle.
 func (p *Pool) Check(ctx context.Context, input string) (Verdict, error) {
@@ -38,12 +35,6 @@ func (p *Pool) Check(ctx context.Context, input string) (Verdict, error) {
 func (p *Pool) CheckBatch(ctx context.Context, inputs []string) ([]Verdict, error) {
 	return fanOut(ctx, p.inner, p.workers, inputs)
 }
-
-// Accepts implements the v1 Oracle contract; errors read as rejection.
-func (p *Pool) Accepts(input string) bool { return legacyAccepts(p, input) }
-
-// AcceptsBatch implements the v1 BatchOracle contract.
-func (p *Pool) AcceptsBatch(inputs []string) []bool { return legacyAcceptsBatch(p, inputs) }
 
 // fanOut answers inputs through o.Check using at most workers concurrent
 // goroutines. It stops dispatching once ctx is done or any query returns an

@@ -21,8 +21,7 @@ var conformanceInputs = []string{
 // testBatchConformance is the shared conformance suite of the batch-oracle
 // contracts: the bulk path must agree with the single path elementwise, in
 // input order, including duplicates and the empty batch, and must be safe
-// to call concurrently with itself and with single queries. Both the v2
-// CheckBatch path and the legacy AcceptsBatch shim are exercised.
+// to call concurrently with itself and with single queries.
 func testBatchConformance(t *testing.T, name string, mk func() BatchCheckOracle) {
 	ctx := context.Background()
 	t.Run(name+"/agrees-with-check", func(t *testing.T) {
@@ -50,19 +49,6 @@ func testBatchConformance(t *testing.T, name string, mk func() BatchCheckOracle)
 			}
 			if v != got[i] {
 				t.Errorf("Check(%q) disagrees with CheckBatch[%d]", in, i)
-			}
-		}
-	})
-	t.Run(name+"/legacy-shim-agrees", func(t *testing.T) {
-		o := mk()
-		legacy, ok := any(o).(BatchOracle)
-		if !ok {
-			t.Fatalf("%T does not keep the legacy BatchOracle shim", o)
-		}
-		got := legacy.AcceptsBatch(conformanceInputs)
-		for i, in := range conformanceInputs {
-			if got[i] != hasA(in) {
-				t.Errorf("AcceptsBatch[%d] (%q) = %v, want %v", i, in, got[i], hasA(in))
 			}
 		}
 	})
@@ -123,18 +109,6 @@ func TestBatchConformance(t *testing.T) {
 	}
 }
 
-func TestAcceptsAllFallback(t *testing.T) {
-	// A bare v1 oracle has no bulk path; AcceptsAll must fall back
-	// sequentially.
-	got := AcceptsAll(plainBool{yes: "a"}, []string{"a", "b", "a"})
-	want := []bool{true, false, true}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("AcceptsAll[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
 // TestCheckAllFanOut exercises CheckAll's worker fan-out fallback for plain
 // CheckOracles (no bulk path of their own).
 func TestCheckAllFanOut(t *testing.T) {
@@ -178,7 +152,7 @@ func TestCachedInflightDedup(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			started <- struct{}{}
-			if !c.Accepts("same-key") {
+			if !accepts(c, "same-key") {
 				t.Error("dedup returned wrong value")
 			}
 		}()
@@ -211,7 +185,7 @@ func TestCachedInflightWaiterCancel(t *testing.T) {
 	owner := make(chan struct{})
 	go func() {
 		close(owner)
-		c.Accepts("slow-key")
+		c.Check(context.Background(), "slow-key")
 	}()
 	<-owner
 	// Give the owner a moment to register its in-flight call; then a waiter
@@ -236,12 +210,15 @@ func TestCachedBatchDedup(t *testing.T) {
 		calls.Add(1)
 		return hasA(s)
 	}))
-	c.Accepts("abc") // pre-cache one key
-	got := c.AcceptsBatch([]string{"abc", "new-a", "xyz", "new-a", "abc"})
-	want := []bool{true, true, false, true, true}
+	accepts(c, "abc") // pre-cache one key
+	got, err := c.CheckBatch(context.Background(), []string{"abc", "new-a", "xyz", "new-a", "abc"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Verdict{Accept, Accept, Reject, Accept, Accept}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("AcceptsBatch[%d] = %v, want %v", i, got[i], want[i])
+			t.Fatalf("CheckBatch[%d] = %v, want %v", i, got[i], want[i])
 		}
 	}
 	if n := calls.Load(); n != 3 { // abc, new-a, xyz — each exactly once
@@ -264,7 +241,7 @@ func TestCachedStatsConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				c.Accepts(fmt.Sprintf("key-%d", i%37))
+				accepts(c, fmt.Sprintf("key-%d", i%37))
 			}
 		}(g)
 	}

@@ -149,6 +149,3 @@ func (f *FaultInjector) Check(ctx context.Context, input string) (Verdict, error
 	}
 	return f.inner.Check(ctx, input)
 }
-
-// Accepts implements the legacy boolean Oracle interface.
-func (f *FaultInjector) Accepts(input string) bool { return legacyAccepts(f, input) }

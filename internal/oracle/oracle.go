@@ -13,9 +13,9 @@
 // Parallel → <program> turns each wave into bounded concurrent program
 // runs.
 //
-// # The v2 contract: verdicts and context
+// # The contract: verdicts and context
 //
-// CheckOracle is the primary interface: Check(ctx, input) answers one
+// CheckOracle is the one oracle interface: Check(ctx, input) answers one
 // membership query with a Verdict (Accept, Reject, Crash, Timeout) and an
 // error. The two channels carry different information:
 //
@@ -26,8 +26,8 @@
 //     ran. Callers must not treat an error as a rejection: learning aborts
 //     and surfaces it, rather than silently synthesizing from garbage.
 //
-// The legacy boolean Oracle interface remains for simple pure predicates
-// (Func implements both); AsCheck and AsBool adapt between the worlds.
+// A pure in-process predicate becomes a CheckOracle through Func, which
+// contains panics as Crash and observes cancellation between queries.
 package oracle
 
 import (
@@ -80,9 +80,8 @@ func (v Verdict) String() string {
 }
 
 // CheckOracle answers membership queries for the target language L* with
-// full verdicts, deadline and cancellation support. It is the primary
-// oracle contract; the boolean Oracle remains as a convenience for pure
-// predicates.
+// full verdicts, deadline and cancellation support. It is the one oracle
+// contract; Func adapts a pure predicate to it.
 type CheckOracle interface {
 	// Check answers one membership query. The returned error is about the
 	// oracle, not the input: ctx cancellation or an oracle that could not
@@ -122,43 +121,9 @@ func (f CheckFunc) Check(ctx context.Context, input string) (Verdict, error) {
 	return f(ctx, input)
 }
 
-// Oracle answers boolean membership queries. It is the v1 contract, kept
-// for pure in-process predicates that cannot crash, hang, or fail; wrap
-// with AsCheck to use one where a CheckOracle is required.
-type Oracle interface {
-	// Accepts reports whether input ∈ L*.
-	Accepts(input string) bool
-}
-
-// BatchOracle is an Oracle with a bulk path (v1 contract). The returned
-// slice is parallel to inputs. Implementations must be safe for concurrent
-// use.
-type BatchOracle interface {
-	Oracle
-	// AcceptsBatch answers every query, in input order.
-	AcceptsBatch(inputs []string) []bool
-}
-
-// AcceptsAll answers every boolean query, using the bulk path when o
-// provides one and falling back to sequential Accepts calls otherwise
-// (v1 contract).
-func AcceptsAll(o Oracle, inputs []string) []bool {
-	if b, ok := o.(BatchOracle); ok {
-		return b.AcceptsBatch(inputs)
-	}
-	out := make([]bool, len(inputs))
-	for i, in := range inputs {
-		out[i] = o.Accepts(in)
-	}
-	return out
-}
-
-// Func adapts a plain predicate to both oracle contracts: Accepts calls it
-// directly, Check maps true/false to Accept/Reject (after honoring ctx).
+// Func adapts a plain predicate to CheckOracle: Check maps true/false to
+// Accept/Reject (after honoring ctx).
 type Func func(string) bool
-
-// Accepts implements Oracle.
-func (f Func) Accepts(input string) bool { return f(input) }
 
 // Check implements CheckOracle. A predicate panic is the in-process
 // analogue of a target dying on a signal, so it answers Crash instead of
@@ -175,8 +140,8 @@ func (f Func) Check(ctx context.Context, input string) (Verdict, error) {
 // Protect answers one boolean membership query with panic containment: a
 // predicate panic becomes Crash — the same trophy as a subprocess target
 // dying on a signal — rather than unwinding into the caller. Every
-// in-process adapter (Func, AsCheck, the builtin registry) answers through
-// it so the v2 verdict contract holds without a subprocess.
+// in-process adapter (Func, the builtin registry) answers through it so
+// the verdict contract holds without a subprocess.
 func Protect(pred func(string) bool, input string) (v Verdict) {
 	defer func() {
 		if recover() != nil {
@@ -187,70 +152,6 @@ func Protect(pred func(string) bool, input string) (v Verdict) {
 		return Accept
 	}
 	return Reject
-}
-
-// AsCheck adapts a v1 boolean oracle to the CheckOracle contract: true maps
-// to Accept, false to Reject, and cancellation is observed between queries
-// (a boolean oracle cannot be interrupted mid-query). When o already
-// implements CheckOracle it is returned unchanged.
-func AsCheck(o Oracle) CheckOracle {
-	if c, ok := o.(CheckOracle); ok {
-		return c
-	}
-	return boolAdapter{o}
-}
-
-// boolAdapter is AsCheck's wrapper for oracles that only speak booleans.
-type boolAdapter struct{ inner Oracle }
-
-// Check implements CheckOracle, containing predicate panics as Crash.
-func (a boolAdapter) Check(ctx context.Context, input string) (Verdict, error) {
-	if err := ctx.Err(); err != nil {
-		return Reject, err
-	}
-	return Protect(a.inner.Accepts, input), nil
-}
-
-// AsBool adapts a CheckOracle to the v1 boolean contract: only Accept reads
-// as true; oracle errors read as false, losing the distinction — callers
-// that care about Crash/Timeout/error must stay on the Check path. When o
-// already implements Oracle it is returned unchanged.
-func AsBool(o CheckOracle) Oracle {
-	if b, ok := o.(Oracle); ok {
-		return b
-	}
-	return checkAdapter{o}
-}
-
-// checkAdapter is AsBool's wrapper for oracles that only speak verdicts.
-type checkAdapter struct{ inner CheckOracle }
-
-// Accepts implements Oracle.
-func (a checkAdapter) Accepts(input string) bool {
-	v, err := a.inner.Check(context.Background(), input)
-	return err == nil && v == Accept
-}
-
-// legacyAccepts is the shared v1 shim: collapse one Check answer to the
-// boolean contract, reading oracle errors as rejection.
-func legacyAccepts(o CheckOracle, input string) bool {
-	v, err := o.Check(context.Background(), input)
-	return err == nil && v == Accept
-}
-
-// legacyAcceptsBatch is the shared v1 bulk shim: a batch error reads as
-// all-rejected. Callers that must distinguish oracle failure (or cancel a
-// running wave) use CheckBatch.
-func legacyAcceptsBatch(o BatchCheckOracle, inputs []string) []bool {
-	vs, err := o.CheckBatch(context.Background(), inputs)
-	out := make([]bool, len(inputs))
-	if err != nil {
-		return out
-	}
-	for i, v := range vs {
-		out[i] = v == Accept
-	}
-	return out
 }
 
 // cacheShards is the number of lock stripes in Cached. Striping keeps
@@ -449,13 +350,6 @@ func (c *Cached) CheckBatch(ctx context.Context, inputs []string) ([]Verdict, er
 	return out, nil
 }
 
-// Accepts implements the v1 Oracle contract on top of Check: errors read as
-// rejection. Callers that must distinguish oracle failure use Check.
-func (c *Cached) Accepts(input string) bool { return legacyAccepts(c, input) }
-
-// AcceptsBatch implements the v1 BatchOracle contract on top of CheckBatch.
-func (c *Cached) AcceptsBatch(inputs []string) []bool { return legacyAcceptsBatch(c, inputs) }
-
 // Stats returns (cache hits, underlying queries issued). Deduplicated
 // concurrent misses count as hits: exactly one of them reached the inner
 // oracle.
@@ -559,24 +453,3 @@ func (e *Exec) Check(ctx context.Context, input string) (Verdict, error) {
 func (e *Exec) CheckBatch(ctx context.Context, inputs []string) ([]Verdict, error) {
 	return fanOut(ctx, e, e.Workers, inputs)
 }
-
-// Verdict runs the command on input and reports the verdict, treating an
-// oracle failure as Reject.
-//
-// Deprecated: use Check, which carries cancellation and distinguishes an
-// oracle failure from a rejection.
-func (e *Exec) Verdict(input string) Verdict {
-	v, err := e.Check(context.Background(), input)
-	if err != nil {
-		return Reject
-	}
-	return v
-}
-
-// Accepts implements the v1 Oracle contract by running the command; oracle
-// failures read as rejection.
-func (e *Exec) Accepts(input string) bool { return legacyAccepts(e, input) }
-
-// AcceptsBatch implements the v1 BatchOracle contract, running up to
-// Workers subprocesses concurrently.
-func (e *Exec) AcceptsBatch(inputs []string) []bool { return legacyAcceptsBatch(e, inputs) }

@@ -8,11 +8,15 @@ import (
 	"time"
 )
 
+// accepts answers one query through Check, reading an oracle error as
+// false: the boolean view several tests assert on.
+func accepts(o CheckOracle, input string) bool {
+	v, err := o.Check(context.Background(), input)
+	return err == nil && v == Accept
+}
+
 func TestFunc(t *testing.T) {
 	o := Func(func(s string) bool { return strings.HasPrefix(s, "ok") })
-	if !o.Accepts("ok then") || o.Accepts("nope") {
-		t.Fatal("Func adapter wrong")
-	}
 	v, err := o.Check(context.Background(), "ok then")
 	if err != nil || v != Accept {
 		t.Fatalf("Check = %v, %v, want accept", v, err)
@@ -39,48 +43,6 @@ func TestVerdictString(t *testing.T) {
 	}
 }
 
-func TestAdapters(t *testing.T) {
-	// AsCheck on a plain v1 oracle maps booleans to verdicts.
-	v1 := plainBool{yes: "member"}
-	c := AsCheck(v1)
-	if v, err := c.Check(context.Background(), "member"); err != nil || v != Accept {
-		t.Fatalf("AsCheck accept = %v, %v", v, err)
-	}
-	if v, err := c.Check(context.Background(), "other"); err != nil || v != Reject {
-		t.Fatalf("AsCheck reject = %v, %v", v, err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := c.Check(ctx, "member"); !errors.Is(err, context.Canceled) {
-		t.Fatalf("AsCheck cancelled err = %v", err)
-	}
-	// AsCheck on something already implementing CheckOracle is the identity.
-	f := Func(func(s string) bool { return true })
-	if AsCheck(f).(Func) == nil {
-		t.Fatal("AsCheck did not pass a CheckOracle through")
-	}
-	// AsBool collapses verdicts; errors read as rejection.
-	cb := CheckFunc(func(ctx context.Context, s string) (Verdict, error) {
-		switch s {
-		case "in":
-			return Accept, nil
-		case "boom":
-			return Reject, errors.New("oracle broke")
-		}
-		return Crash, nil
-	})
-	b := AsBool(cb)
-	if !b.Accepts("in") || b.Accepts("out") || b.Accepts("boom") {
-		t.Fatal("AsBool collapse wrong")
-	}
-}
-
-// plainBool implements only the v1 Oracle interface, so AsCheck must wrap
-// it rather than pass it through.
-type plainBool struct{ yes string }
-
-func (p plainBool) Accepts(s string) bool { return s == p.yes }
-
 func TestCached(t *testing.T) {
 	calls := 0
 	o := NewCached(Func(func(s string) bool {
@@ -88,7 +50,7 @@ func TestCached(t *testing.T) {
 		return s == "yes"
 	}))
 	for i := 0; i < 5; i++ {
-		if !o.Accepts("yes") || o.Accepts("no") {
+		if !accepts(o, "yes") || accepts(o, "no") {
 			t.Fatal("cached answers wrong")
 		}
 	}
@@ -101,7 +63,7 @@ func TestCached(t *testing.T) {
 	}
 }
 
-// TestCachedErrorNotMemoized is the v2 cache contract: a query that fails
+// TestCachedErrorNotMemoized is the cache contract: a query that fails
 // with an oracle error must not be cached, so the same key asked again
 // reaches the oracle — cancellation artifacts cannot poison the memo.
 func TestCachedErrorNotMemoized(t *testing.T) {
@@ -159,17 +121,17 @@ func TestExecTrueFalse(t *testing.T) {
 	}
 	yes := &Exec{Argv: []string{"true"}}
 	no := &Exec{Argv: []string{"false"}}
-	if !yes.Accepts("anything") {
+	if !accepts(yes, "anything") {
 		t.Fatal("true command rejected")
 	}
-	if no.Accepts("anything") {
+	if accepts(no, "anything") {
 		t.Fatal("false command accepted")
 	}
 	empty := &Exec{}
-	if empty.Accepts("x") {
+	if accepts(empty, "x") {
 		t.Fatal("empty argv accepted")
 	}
-	// On the v2 path an empty argv is an oracle error, not a rejection.
+	// An empty argv is an oracle error, not a rejection.
 	if _, err := empty.Check(context.Background(), "x"); err == nil {
 		t.Fatal("empty argv Check returned no error")
 	}
@@ -181,10 +143,10 @@ func TestExecReadsStdin(t *testing.T) {
 	}
 	// grep -q ok: exit 0 iff stdin contains "ok".
 	o := &Exec{Argv: []string{"grep", "-q", "ok"}}
-	if !o.Accepts("this is ok") {
+	if !accepts(o, "this is ok") {
 		t.Fatal("grep oracle rejected matching input")
 	}
-	if o.Accepts("nothing here") {
+	if accepts(o, "nothing here") {
 		t.Fatal("grep oracle accepted non-matching input")
 	}
 }
@@ -206,7 +168,7 @@ func TestExecTimeoutKillsHangingTarget(t *testing.T) {
 	}
 	// A fast run under the same timeout is unaffected.
 	fast := &Exec{Argv: []string{"true"}, Timeout: 5 * time.Second}
-	if !fast.Accepts("x") {
+	if !accepts(fast, "x") {
 		t.Fatal("fast run under timeout rejected")
 	}
 }
@@ -257,18 +219,14 @@ func TestExecCheckVerdicts(t *testing.T) {
 		if got != tc.want {
 			t.Errorf("%s: Check = %v, want %v", tc.name, got, tc.want)
 		}
-		// The deprecated Verdict shim must agree.
-		if shim := tc.o.Verdict("x"); shim != tc.want {
-			t.Errorf("%s: Verdict shim = %v, want %v", tc.name, shim, tc.want)
-		}
 	}
-	// Accepts must agree with the Check verdict.
-	if (&Exec{Argv: []string{"sh", "-c", "kill -SEGV $$"}}).Accepts("x") {
+	// A crash is not an acceptance.
+	if accepts(&Exec{Argv: []string{"sh", "-c", "kill -SEGV $$"}}, "x") {
 		t.Error("crashed run reported accepted")
 	}
 }
 
-// TestExecMissingBinaryIsError is the heart of the v2 contract: an oracle
+// TestExecMissingBinaryIsError is the heart of the oracle contract: an oracle
 // that cannot run at all must answer with an error, never a silent Reject.
 func TestExecMissingBinaryIsError(t *testing.T) {
 	if testing.Short() {
@@ -279,8 +237,8 @@ func TestExecMissingBinaryIsError(t *testing.T) {
 	if err == nil {
 		t.Fatalf("missing binary answered %v with no error", v)
 	}
-	// The legacy boolean view collapses the error to a rejection.
-	if o.Accepts("x") {
+	// Read as a boolean, the error is not an acceptance.
+	if accepts(o, "x") {
 		t.Fatal("missing binary reported accepted")
 	}
 }

@@ -59,7 +59,7 @@ func TestFuncPanicMidBatchIsCrash(t *testing.T) {
 		}
 	}
 
-	// The same contract through the Pool batch path and the v1 adapter.
+	// The same contract through the Pool batch path.
 	pool := Parallel(o, 4)
 	verdicts, err := pool.CheckBatch(context.Background(), inputs)
 	if err != nil {
@@ -68,14 +68,4 @@ func TestFuncPanicMidBatchIsCrash(t *testing.T) {
 	if verdicts[0] != Crash || verdicts[1] != Accept {
 		t.Fatalf("pool batch: verdicts[0]=%v verdicts[1]=%v", verdicts[0], verdicts[1])
 	}
-	v1 := AsCheck(panickyV1{})
-	if v, err := v1.Check(context.Background(), "boom"); err != nil || v != Crash {
-		t.Fatalf("v1 adapter: %v, %v; want Crash", v, err)
-	}
 }
-
-// panickyV1 is a v1 boolean oracle whose Accepts panics: the AsCheck
-// adapter must contain the panic like Func does.
-type panickyV1 struct{}
-
-func (panickyV1) Accepts(string) bool { panic("v1 oracle exploded") }

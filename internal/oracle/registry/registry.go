@@ -14,7 +14,7 @@
 //	spec, _ := oracle.ParseSpec("builtin:json")
 //	o, seeds, _ := spec.Build(oracle.BuildOptions{})
 //
-// Builtins uphold the full v2 verdict contract without a subprocess: each
+// Builtins uphold the full verdict contract without a subprocess: each
 // query runs through a guard that contains panics as VerdictCrash and —
 // when a per-query timeout is configured — bounds the call with a
 // deadline that answers VerdictTimeout, exactly mirroring the semantics
@@ -87,13 +87,6 @@ func (o *InProcess) Check(ctx context.Context, input string) (oracle.Verdict, er
 	}
 }
 
-// Accepts implements the v1 boolean contract; Crash and Timeout read as
-// rejection.
-func (o *InProcess) Accepts(input string) bool {
-	v, err := o.Check(context.Background(), input)
-	return err == nil && v == oracle.Accept
-}
-
 // builtin describes one stdlib-backed oracle before registration.
 type builtin struct {
 	name  string
@@ -139,7 +132,7 @@ func init() {
 			Description: "hand-written parser for a §8.2 evaluation language",
 			Seeds:       append([]string(nil), t.DocSeeds...),
 			New: func(timeout time.Duration, _ int) oracle.CheckOracle {
-				return NewInProcess(t.Name, t.Oracle.Accepts, timeout)
+				return NewInProcess(t.Name, t.Oracle, timeout)
 			},
 		})
 	}

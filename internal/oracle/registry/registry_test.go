@@ -184,8 +184,8 @@ func TestInProcessFastPath(t *testing.T) {
 	if v, err := o.Check(context.Background(), "ab"); err != nil || v != oracle.Accept {
 		t.Fatalf("Check = %v, %v", v, err)
 	}
-	if !o.Accepts("ab") || o.Accepts("a") {
-		t.Fatal("v1 Accepts adapter wrong")
+	if v, err := o.Check(context.Background(), "a"); err != nil || v != oracle.Reject {
+		t.Fatalf("Check(odd) = %v, %v", v, err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

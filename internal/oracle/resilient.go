@@ -470,9 +470,3 @@ func (r *Resilient) jitterUnlockedSafe(window time.Duration) time.Duration {
 func (r *Resilient) CheckBatch(ctx context.Context, inputs []string) ([]Verdict, error) {
 	return fanOut(ctx, r, r.workers, inputs)
 }
-
-// Accepts implements the legacy boolean Oracle interface.
-func (r *Resilient) Accepts(input string) bool { return legacyAccepts(r, input) }
-
-// AcceptsBatch implements the legacy boolean BatchOracle interface.
-func (r *Resilient) AcceptsBatch(inputs []string) []bool { return legacyAcceptsBatch(r, inputs) }

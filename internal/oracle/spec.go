@@ -35,10 +35,8 @@ const (
 // Exactly one oracle is named: Type selects the kind, Name the registered
 // oracle for the three named kinds, Argv the command for exec.
 //
-// The JSON form is {"type": "builtin", "name": "json"} and so on; the
-// pre-registry wire shape ({"program": "sed"}, {"target": "xml"},
-// {"exec": [...]}) is still accepted on decode and normalized, so stored
-// metadata and old clients keep working.
+// The JSON form is {"type": "builtin", "name": "json"} and so on; any
+// other key fails to decode.
 type Spec struct {
 	// Type is one of SpecBuiltin, SpecProgram, SpecTarget, SpecExec.
 	Type string `json:"type,omitempty"`
@@ -55,55 +53,18 @@ type Spec struct {
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 }
 
-// specWire is Spec's decode shape: the canonical fields plus the legacy
-// aliases of the pre-registry service.OracleSpec wire format.
-type specWire struct {
-	Type         string   `json:"type"`
-	Name         string   `json:"name"`
-	Argv         []string `json:"argv"`
-	ErrSubstring string   `json:"err_substring"`
-	TimeoutMS    int      `json:"timeout_ms"`
-	// Legacy aliases: {"program": "sed"}, {"target": "xml"},
-	// {"exec": ["python3", "-"]}.
-	Program string   `json:"program"`
-	Target  string   `json:"target"`
-	Exec    []string `json:"exec"`
-}
-
-// UnmarshalJSON decodes the canonical shape or the legacy aliases,
-// normalizing either into the canonical fields. Unknown keys are rejected
-// so HTTP-layer strictness survives the custom decoder; naming an oracle
-// through both shapes at once is an error.
+// UnmarshalJSON decodes the canonical fields and rejects unknown keys, so
+// a mistyped key fails even for callers decoding with plain json.Unmarshal
+// (stored metadata, library users).
 func (sp *Spec) UnmarshalJSON(data []byte) error {
-	var w specWire
+	type plain Spec
+	var p plain
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&w); err != nil {
+	if err := dec.Decode(&p); err != nil {
 		return err
 	}
-	legacy := 0
-	if w.Program != "" {
-		legacy++
-	}
-	if w.Target != "" {
-		legacy++
-	}
-	if len(w.Exec) > 0 {
-		legacy++
-	}
-	if legacy > 1 || (legacy == 1 && (w.Type != "" || w.Name != "" || len(w.Argv) > 0)) {
-		return fmt.Errorf("oracle spec names more than one oracle")
-	}
-	switch {
-	case w.Program != "":
-		w.Type, w.Name = SpecProgram, w.Program
-	case w.Target != "":
-		w.Type, w.Name = SpecTarget, w.Target
-	case len(w.Exec) > 0:
-		w.Type, w.Argv = SpecExec, w.Exec
-	}
-	*sp = Spec{Type: w.Type, Name: w.Name, Argv: w.Argv,
-		ErrSubstring: w.ErrSubstring, TimeoutMS: w.TimeoutMS}
+	*sp = Spec(p)
 	return nil
 }
 

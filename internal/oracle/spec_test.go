@@ -122,38 +122,15 @@ func TestSpecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSpecLegacyJSON checks the pre-registry wire shapes still decode:
-// old clients and stored GrammarMeta use {"program": ...} etc.
-func TestSpecLegacyJSON(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Spec
-	}{
-		{`{"program":"sed"}`, Spec{Type: SpecProgram, Name: "sed"}},
-		{`{"target":"xml"}`, Spec{Type: SpecTarget, Name: "xml"}},
-		{`{"exec":["python3","-"],"timeout_ms":100}`,
-			Spec{Type: SpecExec, Argv: []string{"python3", "-"}, TimeoutMS: 100}},
-	}
-	for _, tc := range cases {
-		var got Spec
-		if err := json.Unmarshal([]byte(tc.in), &got); err != nil {
-			t.Errorf("Unmarshal(%s): %v", tc.in, err)
-			continue
-		}
-		if !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("Unmarshal(%s) = %+v, want %+v", tc.in, got, tc.want)
-		}
-	}
-}
-
-// TestSpecJSONRejects checks the decoder still rejects malformed specs:
-// unknown keys (HTTP strictness) and naming two oracles at once.
+// TestSpecJSONRejects checks the decoder rejects every key outside the
+// canonical fields: a typo, and the retired pre-registry keys program,
+// target and exec, alone or beside canonical ones.
 func TestSpecJSONRejects(t *testing.T) {
 	for _, in := range []string{
 		`{"progarm":"sed"}`,                  // typo key
-		`{"program":"sed","target":"xml"}`,   // two legacy oracles
-		`{"program":"sed","type":"exec"}`,    // legacy + canonical
-		`{"exec":["true"],"argv":["false"]}`, // legacy + canonical argv
+		`{"program":"sed","target":"xml"}`,   // retired keys
+		`{"program":"sed","type":"exec"}`,    // retired key + canonical
+		`{"exec":["true"],"argv":["false"]}`, // retired key + canonical argv
 	} {
 		var sp Spec
 		if err := json.Unmarshal([]byte(in), &sp); err == nil {

@@ -120,7 +120,7 @@ func TestLearnDeterministic(t *testing.T) {
 	var negatives []string
 	rng := rand.New(rand.NewSource(14))
 	for len(negatives) < 50 {
-		if s := randString(rng, alphabet, 24); !tgt.Oracle.Accepts(s) {
+		if s := randString(rng, alphabet, 24); !tgt.Oracle(s) {
 			negatives = append(negatives, s)
 		}
 	}

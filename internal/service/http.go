@@ -497,10 +497,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// Interface assertions: the per-job timer must forward the oracle bulk
-// path or Workers>1 jobs would serialize under it (both the v2 verdict
-// path and the legacy boolean shim).
-var (
-	_ oracle.BatchCheckOracle = (*metrics.QueryTimer)(nil)
-	_ oracle.BatchOracle      = (*metrics.QueryTimer)(nil)
-)
+// The per-job timer must forward the oracle bulk path or Workers>1 jobs
+// would serialize under it.
+var _ oracle.BatchCheckOracle = (*metrics.QueryTimer)(nil)

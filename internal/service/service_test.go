@@ -199,27 +199,32 @@ func TestWatchStreamsProgress(t *testing.T) {
 	}
 }
 
-// TestSubmitValidation exercises spec validation failures.
+// TestSubmitValidation exercises spec validation failures; each case
+// must fail for the reason its name gives (want is a substring of the
+// error).
 func TestSubmitValidation(t *testing.T) {
 	_, ts := testServer(t, t.TempDir())
 	cases := []struct {
 		name string
 		body string
+		want string
 	}{
-		{"no oracle", `{"seeds":["x"]}`},
-		{"two oracles", `{"oracle":{"program":"sed","target":"xml"}}`},
-		{"unknown program", `{"oracle":{"program":"nope"}}`},
-		{"unknown field", `{"oracle":{"program":"sed"},"bogus":1}`},
+		{"no oracle", `{"seeds":["x"]}`, "oracle spec is empty"},
+		{"two oracles", `{"oracle":{"type":"program","name":"sed","argv":["true"]}}`, "cannot carry argv"},
+		{"unknown program", `{"oracle":{"type":"program","name":"nope"}}`, `unknown program oracle "nope"`},
+		{"unknown field", `{"oracle":{"type":"program","name":"sed"},"bogus":1}`, `unknown field "bogus"`},
+		{"retired spec key", `{"oracle":{"program":"sed"}}`, `unknown field "program"`},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		io.Copy(io.Discard, resp.Body)
+		var body struct{ Error string }
+		json.NewDecoder(resp.Body).Decode(&body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: got %d, want 400", tc.name, resp.StatusCode)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body.Error, tc.want) {
+			t.Errorf("%s: got %d %q, want 400 naming %s", tc.name, resp.StatusCode, body.Error, tc.want)
 		}
 	}
 }

@@ -25,9 +25,7 @@ type GrammarMeta struct {
 	ID     string `json:"id"`
 	Oracle string `json:"oracle"` // human-readable spec, e.g. "program:sed"
 	// Spec is the full oracle spec, kept so validity-filtered generation
-	// can rebuild the oracle even after a restart. Metadata written before
-	// the unified spec (legacy {"program": ...} keys) still decodes —
-	// oracle.Spec normalizes the old shape on load.
+	// can rebuild the oracle even after a restart.
 	Spec      oracle.Spec `json:"oracle_spec"`
 	Seeds     []string    `json:"seeds"`
 	CreatedAt time.Time   `json:"created_at"`
@@ -38,8 +36,7 @@ type GrammarMeta struct {
 	// GrammarSHA is the SHA-256 (hex) of the grammar's canonical marshaled
 	// text. Grammars are immutable, so the bytes live content-addressed at
 	// blobs/<sha>.grammar and every id with identical content shares one
-	// blob. Metadata written by pre-CAS layouts lacks this field; OpenStore
-	// migrates such entries in place.
+	// blob. OpenStore skips metadata without it.
 	GrammarSHA string `json:"grammar_sha256,omitempty"`
 }
 
@@ -97,13 +94,12 @@ type Store struct {
 }
 
 // OpenStore opens (creating if needed) the store rooted at dir and loads
-// every grammar's metadata. Stores written by the pre-content-addressed
-// layout (<id>.grammar beside <id>.json) are migrated in place: the
-// grammar bytes move, byte-identical, into blobs/<sha>.grammar and the
-// metadata is rewritten to point at the hash. Entries whose grammar no
-// longer parses, or which lack their blob or metadata, are skipped with a
-// warning through logger (nil silences everything) rather than failing
-// the open — one corrupt entry must not take the daemon down.
+// every grammar's metadata. Entries whose metadata does not decode or
+// lacks grammar_sha256 (as the pre-content-addressed flat layout,
+// <id>.grammar beside <id>.json, does), or whose blob is missing, are
+// skipped with a warning through logger (nil silences everything) and
+// left on disk, rather than failing the open — one corrupt entry must not
+// take the daemon down.
 func OpenStore(dir string, logger *slog.Logger) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("service: store directory is empty")
@@ -126,7 +122,6 @@ func OpenStore(dir string, logger *slog.Logger) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("service: read store: %w", err)
 	}
-	migrated := 0
 	for _, e := range entries {
 		name := e.Name()
 		id, ok := strings.CutSuffix(name, ".json")
@@ -139,66 +134,17 @@ func OpenStore(dir string, logger *slog.Logger) (*Store, error) {
 			continue
 		}
 		var meta GrammarMeta
-		if err := json.Unmarshal(metaBytes, &meta); err != nil || meta.ID != id {
+		if err := json.Unmarshal(metaBytes, &meta); err != nil || meta.ID != id || meta.GrammarSHA == "" {
 			s.log.Warn("store: skipping bad metadata", "file", name)
 			continue
 		}
-		if meta.GrammarSHA == "" {
-			// Pre-CAS layout: grammar bytes live at <id>.grammar. Migrate
-			// them into the blob store, byte-identical, and point the
-			// metadata at the hash.
-			sha, err := s.migrate(&meta)
-			if err != nil {
-				s.log.Warn("store: skipping entry", "id", id, "err", err)
-				continue
-			}
-			meta.GrammarSHA = sha
-			migrated++
-		} else if _, err := os.Stat(s.blobPath(meta.GrammarSHA)); err != nil {
+		if _, err := os.Stat(s.blobPath(meta.GrammarSHA)); err != nil {
 			s.log.Warn("store: skipping entry with missing blob", "id", id, "sha", meta.GrammarSHA)
 			continue
 		}
 		s.metas[id] = &meta
 	}
-	if migrated > 0 {
-		s.log.Info("store: migrated legacy entries to content-addressed blobs", "count", migrated)
-	}
 	return s, nil
-}
-
-// migrate moves one legacy <id>.grammar file into the blob store,
-// validating that it still parses, and rewrites the metadata to carry the
-// content hash. The grammar bytes are preserved exactly — the blob is the
-// old file's content, not a re-marshal — so migration is lossless.
-func (s *Store) migrate(meta *GrammarMeta) (string, error) {
-	legacy := filepath.Join(s.dir, meta.ID+".grammar")
-	text, err := os.ReadFile(legacy)
-	if err != nil {
-		return "", fmt.Errorf("no grammar file: %w", err)
-	}
-	if _, err := cfg.Unmarshal(string(text)); err != nil {
-		return "", fmt.Errorf("unparsable grammar: %w", err)
-	}
-	sha := contentSHA(text)
-	if err := s.ensureBlob(sha, text); err != nil {
-		return "", err
-	}
-	m := *meta
-	m.GrammarSHA = sha
-	metaBytes, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	if err := writeAtomic(filepath.Join(s.dir, meta.ID+".json"), append(metaBytes, '\n')); err != nil {
-		return "", err
-	}
-	// The blob and the updated metadata are durable; the legacy file is
-	// now redundant. If the remove fails the entry still works — the next
-	// open just retries nothing (the metadata already carries the hash).
-	if err := os.Remove(legacy); err != nil {
-		s.log.Warn("store: could not remove migrated grammar file", "id", meta.ID, "err", err)
-	}
-	return sha, nil
 }
 
 // sweepTemp removes stale .tmp-* files left by writeAtomic calls that were

@@ -12,8 +12,9 @@ import (
 	"glade/internal/cfg"
 )
 
-// writeLegacyEntry lays down a pre-CAS store entry: <id>.grammar beside
-// <id>.json metadata with no grammar_sha256 field.
+// writeLegacyEntry lays down a well-formed entry of the pre-CAS flat
+// layout: <id>.grammar beside <id>.json metadata with no grammar_sha256
+// field, which OpenStore skips.
 func writeLegacyEntry(t *testing.T, dir, id, text string) {
 	t.Helper()
 	if err := os.WriteFile(filepath.Join(dir, id+".grammar"), []byte(text), 0o644); err != nil {
@@ -33,67 +34,6 @@ func writeLegacyEntry(t *testing.T, dir, id, text string) {
 	}
 	if err := os.WriteFile(filepath.Join(dir, id+".json"), data, 0o644); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestStoreMigratesLegacyLayout pins the migration contract: an old flat
-// <id>.grammar layout opens, moves byte-identical bytes into
-// blobs/<sha>.grammar, rewrites the metadata to point at the hash,
-// removes the flat file, and survives a second restart unchanged.
-func TestStoreMigratesLegacyLayout(t *testing.T) {
-	dir := t.TempDir()
-	text := "start A\nA -> \"a\" B\nB -> {0-9}\nB ->\n"
-	writeLegacyEntry(t, dir, "old1", text)
-	// A second id with identical grammar content must migrate into the
-	// same blob — dedup applies to migrated entries too.
-	writeLegacyEntry(t, dir, "old2", text)
-
-	s, err := OpenStore(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, ok := s.Text("old1")
-	if !ok || got != text {
-		t.Fatalf("migrated text not byte-identical (ok=%v):\n%q\nwant\n%q", ok, got, text)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "old1.grammar")); !os.IsNotExist(err) {
-		t.Fatalf("legacy old1.grammar should be removed after migration, stat err=%v", err)
-	}
-	meta, ok := s.Meta("old1")
-	if !ok || meta.GrammarSHA == "" {
-		t.Fatalf("migrated metadata lacks grammar_sha256: %+v", meta)
-	}
-	if meta.Oracle != "program:sed" || meta.Queries != 7 || len(meta.Seeds) != 1 {
-		t.Fatalf("migration lost metadata fields: %+v", meta)
-	}
-	if _, err := os.Stat(filepath.Join(dir, blobsDirName, meta.GrammarSHA+".grammar")); err != nil {
-		t.Fatalf("blob missing after migration: %v", err)
-	}
-	if n := s.BlobCount(); n != 1 {
-		t.Fatalf("identical migrated grammars should share one blob, got %d", n)
-	}
-
-	// Restart: the already-migrated layout loads as-is, text still
-	// byte-identical, and the on-disk metadata carries the hash.
-	s2, err := OpenStore(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range []string{"old1", "old2"} {
-		got, ok := s2.Text(id)
-		if !ok || got != text {
-			t.Fatalf("post-restart text mismatch for %s (ok=%v)", id, ok)
-		}
-		if _, err := s2.Grammar(id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	raw, err := os.ReadFile(filepath.Join(dir, "old2.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(raw), `"grammar_sha256"`) {
-		t.Fatalf("persisted metadata not rewritten with hash: %s", raw)
 	}
 }
 

@@ -79,12 +79,14 @@ func TestStoreSkipsCorruptEntries(t *testing.T) {
 	if err := s.Put(good, GrammarMeta{ID: "good", CreatedAt: time.Now()}); err != nil {
 		t.Fatal(err)
 	}
-	// A metadata file without a grammar, a grammar without metadata, and a
-	// grammar that does not parse.
+	// A metadata file without a grammar, a grammar without metadata, a
+	// grammar that does not parse, and a well-formed entry of the retired
+	// flat layout (metadata without grammar_sha256).
 	os.WriteFile(filepath.Join(dir, "orphanmeta.json"), []byte(`{"id":"orphanmeta"}`), 0o644)
 	os.WriteFile(filepath.Join(dir, "orphangrammar.grammar"), []byte("start A\nA -> \"x\"\n"), 0o644)
 	os.WriteFile(filepath.Join(dir, "bad.json"), []byte(`{"id":"bad"}`), 0o644)
 	os.WriteFile(filepath.Join(dir, "bad.grammar"), []byte("not a grammar"), 0o644)
+	writeLegacyEntry(t, dir, "flat", "start A\nA -> \"a\"\n")
 
 	s2, err := OpenStore(dir, nil)
 	if err != nil {
@@ -93,6 +95,12 @@ func TestStoreSkipsCorruptEntries(t *testing.T) {
 	list := s2.List()
 	if len(list) != 1 || list[0].ID != "good" {
 		t.Fatalf("expected only the good entry, got %+v", list)
+	}
+	// Skipped entries are left on disk untouched.
+	for _, name := range []string{"flat.json", "flat.grammar"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Fatalf("skipped entry file %s: %v", name, err)
+		}
 	}
 }
 

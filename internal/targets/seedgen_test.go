@@ -18,7 +18,7 @@ func TestSeedGenProducesValidInputs(t *testing.T) {
 		rng := rand.New(rand.NewSource(7))
 		for i := 0; i < 300; i++ {
 			s := tgt.SeedGen(rng)
-			if !tgt.Oracle.Accepts(s) {
+			if !tgt.Oracle(s) {
 				t.Fatalf("%s: oracle rejects generated seed %q", tgt.Name, s)
 			}
 			if !c.Accepts(s) {

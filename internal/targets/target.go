@@ -23,7 +23,7 @@ type Target struct {
 	// Grammar is the ground-truth context-free grammar defining L*.
 	Grammar *cfg.Grammar
 	// Oracle answers membership in L* (a hand-written parser; the "program").
-	Oracle oracle.Oracle
+	Oracle oracle.Func
 	// DocSeeds are a few representative hand-picked seed inputs, standing in
 	// for the paper's "examples from documentation".
 	DocSeeds []string

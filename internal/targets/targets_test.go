@@ -42,7 +42,7 @@ func TestDocSeedsValid(t *testing.T) {
 		}
 		c := cfg.Compile(tgt.Grammar)
 		for _, s := range tgt.DocSeeds {
-			if !tgt.Oracle.Accepts(s) {
+			if !tgt.Oracle(s) {
 				t.Errorf("%s: oracle rejects doc seed %q", tgt.Name, s)
 			}
 			if !c.Accepts(s) {
@@ -61,7 +61,7 @@ func TestGrammarOracleAgreementOnSamples(t *testing.T) {
 		rng := rand.New(rand.NewSource(13))
 		for i := 0; i < 400; i++ {
 			s := sm.Sample(rng)
-			if !tgt.Oracle.Accepts(s) {
+			if !tgt.Oracle(s) {
 				t.Fatalf("%s: oracle rejects grammar sample %q", tgt.Name, s)
 			}
 		}
@@ -85,7 +85,7 @@ func TestGrammarOracleAgreementOnMutants(t *testing.T) {
 					continue
 				}
 				want := c.Accepts(m)
-				got := tgt.Oracle.Accepts(m)
+				got := tgt.Oracle(m)
 				if got != want {
 					t.Fatalf("%s: oracle=%v grammar=%v on %q (mutant of %q)",
 						tgt.Name, got, want, m, s)
@@ -131,7 +131,7 @@ func TestSampleSeeds(t *testing.T) {
 			t.Fatalf("duplicate seed %q", s)
 		}
 		seen[s] = true
-		if !tgt.Oracle.Accepts(s) {
+		if !tgt.Oracle(s) {
 			t.Fatalf("invalid seed %q", s)
 		}
 	}
@@ -149,7 +149,7 @@ func TestURLCases(t *testing.T) {
 		"https://www.ab.cdefgh", // 6-letter TLD
 	}
 	for _, s := range valid {
-		if !o.Accepts(s) {
+		if !o(s) {
 			t.Errorf("rejects valid %q", s)
 		}
 	}
@@ -165,7 +165,7 @@ func TestURLCases(t *testing.T) {
 		"http://ab.cd|ef", // '|' not a path char
 	}
 	for _, s := range invalid {
-		if o.Accepts(s) {
+		if o(s) {
 			t.Errorf("accepts invalid %q", s)
 		}
 	}
@@ -188,7 +188,7 @@ func TestGrepCases(t *testing.T) {
 		`ab c`,
 	}
 	for _, s := range valid {
-		if !o.Accepts(s) {
+		if !o(s) {
 			t.Errorf("rejects valid %q", s)
 		}
 	}
@@ -205,7 +205,7 @@ func TestGrepCases(t *testing.T) {
 		"a^b", // '^' is not ordinary in our grammar
 	}
 	for _, s := range invalid {
-		if o.Accepts(s) {
+		if o(s) {
 			t.Errorf("accepts invalid %q", s)
 		}
 	}
@@ -224,7 +224,7 @@ func TestLispCases(t *testing.T) {
 		"(f(g))",
 	}
 	for _, s := range valid {
-		if !o.Accepts(s) {
+		if !o(s) {
 			t.Errorf("rejects valid %q", s)
 		}
 	}
@@ -241,7 +241,7 @@ func TestLispCases(t *testing.T) {
 		"(F)", // uppercase not in alphabet
 	}
 	for _, s := range invalid {
-		if o.Accepts(s) {
+		if o(s) {
 			t.Errorf("accepts invalid %q", s)
 		}
 	}
@@ -263,7 +263,7 @@ func TestXMLCases(t *testing.T) {
 		"<a>line\nbreak</a>",
 	}
 	for _, s := range valid {
-		if !o.Accepts(s) {
+		if !o(s) {
 			t.Errorf("rejects valid %q", s)
 		}
 	}
@@ -282,7 +282,7 @@ func TestXMLCases(t *testing.T) {
 		"<a><a></a>",
 	}
 	for _, s := range invalid {
-		if o.Accepts(s) {
+		if o(s) {
 			t.Errorf("accepts invalid %q", s)
 		}
 	}
