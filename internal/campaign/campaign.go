@@ -226,13 +226,10 @@ func New(conf Config) (*Campaign, error) {
 	// counters into the report.
 	_, c.execOracle = oracle.Innermost(conf.Oracle).(*oracle.Exec)
 	c.resilient = findResilient(conf.Oracle)
-	c.timer = metrics.NewQueryTimer(conf.Oracle)
-	if conf.QueryHist != nil {
-		c.timer.Mirror(conf.QueryHist)
-	}
+	c.timer = metrics.NewQueryTimer(conf.Oracle, conf.QueryHist)
 	c.pool = oracle.Parallel(c.timer, conf.Workers)
 	if conf.DiffOracle != nil {
-		c.diffTimer = metrics.NewQueryTimer(conf.DiffOracle)
+		c.diffTimer = metrics.NewQueryTimer(conf.DiffOracle, nil)
 		c.diffPool = oracle.Parallel(c.diffTimer, conf.Workers)
 		c.report.DiffOracle = conf.DiffName
 		if c.report.DiffOracle == "" {

@@ -87,21 +87,6 @@ func (c *Compiled) AcceptsEarley(input string) bool {
 	return ok
 }
 
-// HasPrefilter reports whether the regular-approximation DFA was built
-// (grammars over the state/work budgets run without one).
-func (c *Compiled) HasPrefilter() bool { return c.dfa != nil }
-
-// HasVM reports whether the grammar lowered to bytecode (left-recursive
-// or oversized grammars fall back to Earley).
-func (c *Compiled) HasVM() bool { return c.vm != nil }
-
-// PrefilterRejects reports whether the DFA prefilter alone rejects input.
-// By the soundness contract this implies input ∉ L(g); the differential
-// suite pins that direction explicitly.
-func (c *Compiled) PrefilterRejects(input string) bool {
-	return c.dfa != nil && !c.dfa.mayAccept(input)
-}
-
 // AcceptsAll answers membership for every input through the ladder using
 // at most workers concurrent goroutines, mirroring oracle.Parallel's bulk
 // path. Values of workers below 2 run sequentially (still reusing one

@@ -3,7 +3,6 @@ package cfg
 import (
 	"bufio"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -350,16 +349,4 @@ func classByte(s string) (byte, int, error) {
 	default:
 		return s[1], 2, nil
 	}
-}
-
-// Equal reports whether two grammars are structurally identical up to
-// nonterminal numbering (names and production order must match).
-func Equal(a, b *Grammar) bool {
-	return canonical(a) == canonical(b)
-}
-
-func canonical(g *Grammar) string {
-	lines := strings.Split(strings.TrimSpace(Marshal(g)), "\n")
-	sort.Strings(lines)
-	return strings.Join(lines, "\n")
 }

@@ -61,9 +61,6 @@ func (f *Grammar) Name() string { return "glade" }
 // through its AcceptsAll).
 func (f *Grammar) Compiled() *cfg.Compiled { return f.compiled }
 
-// ParsedSeeds reports how many seeds parsed under the grammar.
-func (f *Grammar) ParsedSeeds() int { return len(f.trees) }
-
 // Observe implements Fuzzer (the grammar fuzzer ignores feedback).
 func (f *Grammar) Observe(string, programs.Result) {}
 

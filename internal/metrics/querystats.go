@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"glade/internal/oracle"
@@ -86,11 +85,11 @@ type QueryTimer struct {
 	inner oracle.CheckOracle
 
 	// hist bins every per-query latency so Snapshot can report
-	// p50/p95/p99 alongside the mean; mirror, when set, receives the same
-	// observations so a shared telemetry registry (e.g. glade-serve's
+	// p50/p95/p99 alongside the mean; mirror, when non-nil, receives the
+	// same observations so a shared telemetry registry (e.g. glade-serve's
 	// /metrics) sees them too.
 	hist   *telemetry.Histogram
-	mirror atomic.Pointer[telemetry.Histogram]
+	mirror *telemetry.Histogram
 
 	mu       sync.Mutex
 	stats    QueryStats
@@ -99,16 +98,13 @@ type QueryTimer struct {
 	lastDone time.Time
 }
 
-// NewQueryTimer wraps inner with query timing.
-func NewQueryTimer(inner oracle.CheckOracle) *QueryTimer {
-	return &QueryTimer{inner: inner, hist: &telemetry.Histogram{}}
+// NewQueryTimer wraps inner with query timing. When mirror is non-nil,
+// every per-query observation is also recorded on it: that is how a
+// registry-owned histogram (one per query source) sees the queries without
+// timing the oracle twice. Pass nil for no mirror.
+func NewQueryTimer(inner oracle.CheckOracle, mirror *telemetry.Histogram) *QueryTimer {
+	return &QueryTimer{inner: inner, hist: &telemetry.Histogram{}, mirror: mirror}
 }
-
-// Mirror registers h as a secondary latency sink: every per-query
-// observation recorded by the timer is also observed on h. Use it to feed a
-// registry-owned histogram (one per pool source) without double-timing the
-// oracle. A nil h removes the mirror.
-func (q *QueryTimer) Mirror(h *telemetry.Histogram) { q.mirror.Store(h) }
 
 // Check implements oracle.CheckOracle.
 func (q *QueryTimer) Check(ctx context.Context, input string) (oracle.Verdict, error) {
@@ -136,8 +132,8 @@ func (q *QueryTimer) record(start, end time.Time, n int, batch bool) {
 	// Histogram observations are atomic; keep them outside the mutex so
 	// the hot path adds no lock hold time.
 	q.hist.ObserveN(per, n)
-	if m := q.mirror.Load(); m != nil {
-		m.ObserveN(per, n)
+	if q.mirror != nil {
+		q.mirror.ObserveN(per, n)
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -176,18 +172,4 @@ func (q *QueryTimer) Snapshot() QueryStats {
 	s.P95Latency = hs.Quantile(0.95)
 	s.P99Latency = hs.Quantile(0.99)
 	return s
-}
-
-// Histogram exposes the timer's latency histogram snapshot, for callers
-// that want the full bucket distribution rather than fixed quantiles.
-func (q *QueryTimer) Histogram() telemetry.HistogramSnapshot { return q.hist.Snapshot() }
-
-// Reset clears the recorded statistics.
-func (q *QueryTimer) Reset() {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.stats = QueryStats{}
-	q.started = false
-	q.firstAt, q.lastDone = time.Time{}, time.Time{}
-	q.hist.Reset()
 }

@@ -14,7 +14,7 @@ func TestQueryTimerCounts(t *testing.T) {
 	q := NewQueryTimer(oracle.Func(func(s string) bool {
 		time.Sleep(time.Millisecond)
 		return s == "yes"
-	}))
+	}), nil)
 	ctx := context.Background()
 	yes, err1 := q.Check(ctx, "yes")
 	no, err2 := q.Check(ctx, "no")
@@ -40,10 +40,6 @@ func TestQueryTimerCounts(t *testing.T) {
 	if s.MinLatency <= 0 || s.MaxLatency < s.MinLatency {
 		t.Fatalf("latency bounds wrong: %+v", s)
 	}
-	q.Reset()
-	if s := q.Snapshot(); s.Queries != 0 || s.Wall != 0 {
-		t.Fatalf("Reset left state: %+v", s)
-	}
 }
 
 // TestQueryTimerThroughputScales is the property the parallel engine is
@@ -61,7 +57,7 @@ func TestQueryTimerThroughputScales(t *testing.T) {
 	}
 
 	measure := func(workers int) QueryStats {
-		q := NewQueryTimer(slow)
+		q := NewQueryTimer(slow, nil)
 		if _, err := oracle.Parallel(q, workers).CheckBatch(context.Background(), inputs); err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +80,7 @@ func TestQueryTimerThroughputScales(t *testing.T) {
 // to Busy to a 1ns floor, so any completed query reports finite, nonzero
 // throughput.
 func TestQueryTimerSubMicrosecondBatchThroughput(t *testing.T) {
-	q := NewQueryTimer(oracle.Func(func(string) bool { return true }))
+	q := NewQueryTimer(oracle.Func(func(string) bool { return true }), nil)
 	now := time.Now()
 	// Simulate an in-process batch whose wall time is below the clock's
 	// resolution: identical start and end timestamps.
@@ -105,9 +101,8 @@ func TestQueryTimerSubMicrosecondBatchThroughput(t *testing.T) {
 // The timer's histogram feeds p50/p95/p99 into every snapshot and mirrors
 // observations into an externally supplied histogram.
 func TestQueryTimerQuantilesAndMirror(t *testing.T) {
-	q := NewQueryTimer(oracle.Func(func(string) bool { return true }))
 	var mirror telemetry.Histogram
-	q.Mirror(&mirror)
+	q := NewQueryTimer(oracle.Func(func(string) bool { return true }), &mirror)
 	base := time.Now()
 	for i := 0; i < 99; i++ {
 		q.record(base, base.Add(time.Millisecond), 1, false)
@@ -126,17 +121,13 @@ func TestQueryTimerQuantilesAndMirror(t *testing.T) {
 	if ms := mirror.Snapshot(); ms.Count != 100 {
 		t.Errorf("mirror saw %d observations, want 100", ms.Count)
 	}
-	if hs := q.Histogram(); hs.Count != 100 || hs.Max != time.Second {
-		t.Errorf("histogram snapshot = count %d max %v", hs.Count, hs.Max)
-	}
-	q.Reset()
-	if hs := q.Histogram(); hs.Count != 0 {
-		t.Errorf("Reset left %d histogram observations", hs.Count)
+	if s.Queries != 100 || s.MaxLatency != time.Second {
+		t.Errorf("snapshot = %d queries, max %v; want 100, 1s", s.Queries, s.MaxLatency)
 	}
 }
 
 func TestQueryTimerConcurrent(t *testing.T) {
-	q := NewQueryTimer(oracle.Func(func(string) bool { return true }))
+	q := NewQueryTimer(oracle.Func(func(string) bool { return true }), nil)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -161,8 +152,7 @@ func TestDispatchWrappersAllocateNothing(t *testing.T) {
 	accept := oracle.CheckFunc(func(context.Context, string) (oracle.Verdict, error) {
 		return oracle.Accept, nil
 	})
-	timer := NewQueryTimer(accept)
-	timer.Mirror(&telemetry.Histogram{})
+	timer := NewQueryTimer(accept, &telemetry.Histogram{})
 	resilient := oracle.NewResilient(accept, oracle.ResilientOptions{
 		Retry:   oracle.RetryPolicy{MaxAttempts: 3},
 		Breaker: oracle.BreakerPolicy{Threshold: 16},

@@ -96,12 +96,6 @@ func TestBatchConformance(t *testing.T) {
 	testBatchConformance(t, "Pool-seq", func() BatchCheckOracle {
 		return Parallel(mkInner(), 1)
 	})
-	testBatchConformance(t, "Cached", func() BatchCheckOracle {
-		return NewCached(mkInner())
-	})
-	testBatchConformance(t, "Cached-of-Pool", func() BatchCheckOracle {
-		return NewCached(Parallel(mkInner(), 4))
-	})
 	if !testing.Short() {
 		testBatchConformance(t, "Exec", func() BatchCheckOracle {
 			return &Exec{Argv: []string{"grep", "-q", "a"}, Workers: 4}
@@ -128,130 +122,6 @@ func TestCheckAllFanOut(t *testing.T) {
 				t.Fatalf("CheckAll(workers=%d)[%d] = %v, want %v", workers, i, got[i], hasA(in))
 			}
 		}
-	}
-}
-
-// TestCachedInflightDedup exercises the race the single-mutex cache had:
-// two goroutines missing on the same key must issue exactly one underlying
-// query between them.
-func TestCachedInflightDedup(t *testing.T) {
-	var calls atomic.Int64
-	release := make(chan struct{})
-	inner := Func(func(s string) bool {
-		calls.Add(1)
-		<-release // hold every underlying query open
-		return true
-	})
-	c := NewCached(inner)
-
-	const waiters = 16
-	var wg sync.WaitGroup
-	started := make(chan struct{}, waiters)
-	for g := 0; g < waiters; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			started <- struct{}{}
-			if !accepts(c, "same-key") {
-				t.Error("dedup returned wrong value")
-			}
-		}()
-	}
-	for g := 0; g < waiters; g++ {
-		<-started
-	}
-	close(release)
-	wg.Wait()
-
-	if n := calls.Load(); n != 1 {
-		t.Fatalf("underlying queries = %d, want 1 (in-flight dedup)", n)
-	}
-	hits, misses := c.Stats()
-	if misses != 1 || hits != waiters-1 {
-		t.Fatalf("Stats = %d hits %d misses, want %d hits 1 miss", hits, misses, waiters-1)
-	}
-}
-
-// TestCachedInflightWaiterCancel checks that a caller waiting on another
-// goroutine's in-flight query honors its own ctx instead of blocking until
-// the owner finishes.
-func TestCachedInflightWaiterCancel(t *testing.T) {
-	release := make(chan struct{})
-	defer close(release)
-	c := NewCached(Func(func(s string) bool {
-		<-release
-		return true
-	}))
-	owner := make(chan struct{})
-	go func() {
-		close(owner)
-		c.Check(context.Background(), "slow-key")
-	}()
-	<-owner
-	// Give the owner a moment to register its in-flight call; then a waiter
-	// with an already-expired ctx must return promptly.
-	var err error
-	for i := 0; i < 100; i++ {
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		_, err = c.Check(ctx, "slow-key")
-		if errors.Is(err, context.Canceled) {
-			return
-		}
-	}
-	t.Fatalf("waiter never observed its cancelled ctx: last err = %v", err)
-}
-
-// TestCachedBatchDedup checks that a batch with duplicates and overlap with
-// already-cached keys issues only the novel unique queries.
-func TestCachedBatchDedup(t *testing.T) {
-	var calls atomic.Int64
-	c := NewCached(Func(func(s string) bool {
-		calls.Add(1)
-		return hasA(s)
-	}))
-	accepts(c, "abc") // pre-cache one key
-	got, err := c.CheckBatch(context.Background(), []string{"abc", "new-a", "xyz", "new-a", "abc"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []Verdict{Accept, Accept, Reject, Accept, Accept}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("CheckBatch[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	if n := calls.Load(); n != 3 { // abc, new-a, xyz — each exactly once
-		t.Fatalf("underlying queries = %d, want 3", n)
-	}
-	hits, misses := c.Stats()
-	if misses != 3 || hits != 3 {
-		t.Fatalf("Stats = %d hits %d misses, want 3 hits 3 misses", hits, misses)
-	}
-}
-
-// TestCachedStatsConcurrent checks hits+misses == total queries under a
-// concurrent mixed load — the accuracy guarantee Stats makes.
-func TestCachedStatsConcurrent(t *testing.T) {
-	c := NewCached(Func(hasA))
-	const goroutines, per = 8, 200
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				accepts(c, fmt.Sprintf("key-%d", i%37))
-			}
-		}(g)
-	}
-	wg.Wait()
-	hits, misses := c.Stats()
-	if hits+misses != goroutines*per {
-		t.Fatalf("hits(%d)+misses(%d) = %d, want %d", hits, misses, hits+misses, goroutines*per)
-	}
-	if misses != 37 {
-		t.Fatalf("misses = %d, want 37 unique keys", misses)
 	}
 }
 

@@ -7,20 +7,20 @@ import (
 	"time"
 )
 
-// FaultInjector is a chaos wrapper for tests and the chaos-smoke CI job:
-// it injects faults into an otherwise healthy oracle on a deterministic,
-// seed-derived schedule. Determinism is the point — fault decisions are
-// keyed on hash(seed, input, per-input attempt index), not on call
-// order, so the same seed produces the same fault schedule regardless of
-// goroutine interleaving, and a retry of the same input advances the
-// attempt index so it can succeed where the first attempt was failed.
+// FaultInjector is a chaos wrapper for tests: it injects faults into an
+// otherwise healthy oracle on a deterministic, seed-derived schedule.
+// Determinism is the point — fault decisions are keyed on hash(seed,
+// input, per-input attempt index), not on call order, so the same seed
+// produces the same fault schedule regardless of goroutine interleaving,
+// and a retry of the same input advances the attempt index so it can
+// succeed where the first attempt was failed.
 //
 // Four fault kinds are supported, checked in this order per attempt:
 // hang-until-ctx, panic, transient error, added latency. Injected errors
 // are marked transient (MarkTransient), so a Resilient wrapper above the
 // injector retries them; verdicts from surviving calls pass through
-// untouched, which is what lets the chaos smoke assert byte-identical
-// grammars under fault injection.
+// untouched, which is what lets core's TestGoldenGrammars assert
+// byte-identical grammars under fault injection.
 type FaultInjector struct {
 	inner CheckOracle
 	opt   FaultOptions

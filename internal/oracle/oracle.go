@@ -1,10 +1,10 @@
 // Package oracle defines the membership-oracle abstraction of §2: blackbox
 // access to a program answering "is this input valid?". It also provides the
 // wrappers the learner and the evaluation need — batching, worker-pool
-// parallelism, a concurrent verdict cache, retries, fault injection — and
-// an oracle that executes an external command, which is how the CLI treats
-// a real program binary exactly as the paper does (run the program, valid
-// iff it does not report an error).
+// parallelism, retries, fault injection — and an oracle that executes an
+// external command, which is how the CLI treats a real program binary
+// exactly as the paper does (run the program, valid iff it does not report
+// an error).
 //
 // Oracle queries dominate GLADE's cost (§4.3): every candidate
 // generalization, merge check, and character-generalization probe is one
@@ -36,7 +36,6 @@ import (
 	"fmt"
 	"os/exec"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -152,216 +151,6 @@ func Protect(pred func(string) bool, input string) (v Verdict) {
 		return Accept
 	}
 	return Reject
-}
-
-// cacheShards is the number of lock stripes in Cached. Striping keeps
-// concurrent batch waves from serializing on one mutex; 64 stripes is
-// comfortably above any worker count this repository uses.
-const cacheShards = 64
-
-// inflightCall tracks one underlying query in progress, so that concurrent
-// misses on the same key wait for the first caller instead of duplicating
-// the (expensive) program run. val and err are written before done is
-// closed; an err outcome is not memoized (see Cached).
-type inflightCall struct {
-	done chan struct{}
-	val  Verdict
-	err  error
-}
-
-// cacheShard is one lock stripe of Cached.
-type cacheShard struct {
-	mu       sync.Mutex
-	memo     map[string]Verdict
-	inflight map[string]*inflightCall
-	hits     int
-	miss     int
-}
-
-// Cached memoizes oracle verdicts for callers that share one oracle across
-// goroutines. core.Learn does not need it: the learner keeps its own
-// verdict memo, touched only by the learning goroutine. Cached is safe for
-// concurrent use: the memo is sharded across lock stripes, and concurrent
-// misses on the same key are deduplicated — exactly one underlying query
-// is issued and every waiter receives its answer.
-//
-// Only verdicts are memoized. A query that fails with an error (oracle
-// broken, ctx cancelled) is never cached: cancellation artifacts must not
-// poison the memo, so the same key asked again issues a fresh underlying
-// query.
-type Cached struct {
-	inner  CheckOracle
-	shards [cacheShards]cacheShard
-}
-
-// NewCached wraps inner with memoization.
-func NewCached(inner CheckOracle) *Cached {
-	c := &Cached{inner: inner}
-	for i := range c.shards {
-		c.shards[i].memo = map[string]Verdict{}
-		c.shards[i].inflight = map[string]*inflightCall{}
-	}
-	return c
-}
-
-// shard picks the lock stripe for a key (FNV-1a).
-func (c *Cached) shard(key string) *cacheShard {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return &c.shards[h%cacheShards]
-}
-
-// Check implements CheckOracle. A miss issues exactly one underlying query
-// per key even under concurrency: later callers missing on the same key
-// block on the first caller's in-flight computation (or return early when
-// their own ctx is cancelled while waiting).
-func (c *Cached) Check(ctx context.Context, input string) (Verdict, error) {
-	sh := c.shard(input)
-	sh.mu.Lock()
-	if v, ok := sh.memo[input]; ok {
-		sh.hits++
-		sh.mu.Unlock()
-		return v, nil
-	}
-	if call, ok := sh.inflight[input]; ok {
-		// Another goroutine is computing this key; its answer serves us too.
-		sh.hits++
-		sh.mu.Unlock()
-		select {
-		case <-call.done:
-			return call.val, call.err
-		case <-ctx.Done():
-			return Reject, ctx.Err()
-		}
-	}
-	call := &inflightCall{done: make(chan struct{})}
-	sh.inflight[input] = call
-	sh.miss++
-	sh.mu.Unlock()
-
-	v, err := c.inner.Check(ctx, input)
-
-	sh.mu.Lock()
-	if err == nil {
-		sh.memo[input] = v
-	}
-	delete(sh.inflight, input)
-	sh.mu.Unlock()
-	call.val, call.err = v, err
-	close(call.done)
-	return v, err
-}
-
-// CheckBatch implements BatchCheckOracle: cached keys answer immediately,
-// duplicates collapse, and the remaining unique misses are issued through
-// the inner oracle's bulk path (concurrently, when inner is a
-// BatchCheckOracle). On error nothing new is memoized and the returned
-// slice must be discarded.
-func (c *Cached) CheckBatch(ctx context.Context, inputs []string) ([]Verdict, error) {
-	out := make([]Verdict, len(inputs))
-	// indices groups result positions by key, collapsing duplicates.
-	indices := make(map[string][]int, len(inputs))
-	order := make([]string, 0, len(inputs))
-	for i, in := range inputs {
-		if _, seen := indices[in]; !seen {
-			order = append(order, in)
-		}
-		indices[in] = append(indices[in], i)
-	}
-
-	resolved := make(map[string]Verdict, len(order))
-	var owned []string                        // keys this call computes
-	waiting := make(map[string]*inflightCall) // keys another goroutine is computing
-	for _, key := range order {
-		sh := c.shard(key)
-		sh.mu.Lock()
-		if v, ok := sh.memo[key]; ok {
-			sh.hits += len(indices[key])
-			resolved[key] = v
-			sh.mu.Unlock()
-			continue
-		}
-		if call, ok := sh.inflight[key]; ok {
-			sh.hits += len(indices[key])
-			waiting[key] = call
-			sh.mu.Unlock()
-			continue
-		}
-		sh.inflight[key] = &inflightCall{done: make(chan struct{})}
-		sh.miss++
-		if extra := len(indices[key]) - 1; extra > 0 {
-			sh.hits += extra
-		}
-		owned = append(owned, key)
-		sh.mu.Unlock()
-	}
-
-	var batchErr error
-	if len(owned) > 0 {
-		vals, err := CheckAll(ctx, c.inner, owned, 1)
-		batchErr = err
-		for i, key := range owned {
-			sh := c.shard(key)
-			sh.mu.Lock()
-			call := sh.inflight[key]
-			if err == nil {
-				sh.memo[key] = vals[i]
-			}
-			delete(sh.inflight, key)
-			sh.mu.Unlock()
-			if err == nil {
-				call.val = vals[i]
-				resolved[key] = vals[i]
-			} else {
-				call.err = err
-			}
-			close(call.done)
-		}
-	}
-	for key, call := range waiting {
-		select {
-		case <-call.done:
-			if call.err != nil {
-				if batchErr == nil {
-					batchErr = call.err
-				}
-				continue
-			}
-			resolved[key] = call.val
-		case <-ctx.Done():
-			if batchErr == nil {
-				batchErr = ctx.Err()
-			}
-		}
-	}
-	if batchErr != nil {
-		return out, batchErr
-	}
-
-	for key, idxs := range indices {
-		v := resolved[key]
-		for _, i := range idxs {
-			out[i] = v
-		}
-	}
-	return out, nil
-}
-
-// Stats returns (cache hits, underlying queries issued). Deduplicated
-// concurrent misses count as hits: exactly one of them reached the inner
-// oracle.
-func (c *Cached) Stats() (hits, misses int) {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		hits += sh.hits
-		misses += sh.miss
-		sh.mu.Unlock()
-	}
-	return hits, misses
 }
 
 // Exec is an oracle that runs an external command per query, feeding the

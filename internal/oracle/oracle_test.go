@@ -43,78 +43,6 @@ func TestVerdictString(t *testing.T) {
 	}
 }
 
-func TestCached(t *testing.T) {
-	calls := 0
-	o := NewCached(Func(func(s string) bool {
-		calls++
-		return s == "yes"
-	}))
-	for i := 0; i < 5; i++ {
-		if !accepts(o, "yes") || accepts(o, "no") {
-			t.Fatal("cached answers wrong")
-		}
-	}
-	if calls != 2 {
-		t.Fatalf("underlying calls = %d, want 2", calls)
-	}
-	hits, misses := o.Stats()
-	if misses != 2 || hits != 8 {
-		t.Fatalf("Stats = %d hits %d misses", hits, misses)
-	}
-}
-
-// TestCachedErrorNotMemoized is the cache contract: a query that fails
-// with an oracle error must not be cached, so the same key asked again
-// reaches the oracle — cancellation artifacts cannot poison the memo.
-func TestCachedErrorNotMemoized(t *testing.T) {
-	calls := 0
-	broken := true
-	c := NewCached(CheckFunc(func(ctx context.Context, s string) (Verdict, error) {
-		calls++
-		if broken {
-			return Reject, errors.New("oracle down")
-		}
-		return Accept, nil
-	}))
-	if _, err := c.Check(context.Background(), "k"); err == nil {
-		t.Fatal("expected error from broken oracle")
-	}
-	broken = false
-	v, err := c.Check(context.Background(), "k")
-	if err != nil || v != Accept {
-		t.Fatalf("retry after error = %v, %v, want accept", v, err)
-	}
-	if calls != 2 {
-		t.Fatalf("underlying calls = %d, want 2 (error not memoized)", calls)
-	}
-	// The successful verdict IS memoized.
-	if _, _ = c.Check(context.Background(), "k"); calls != 2 {
-		t.Fatalf("underlying calls = %d after hit, want 2", calls)
-	}
-}
-
-// TestCachedBatchErrorNotMemoized mirrors the single-query contract on the
-// bulk path: a failing batch memoizes nothing.
-func TestCachedBatchErrorNotMemoized(t *testing.T) {
-	calls := 0
-	broken := true
-	c := NewCached(CheckFunc(func(ctx context.Context, s string) (Verdict, error) {
-		calls++
-		if broken {
-			return Reject, errors.New("oracle down")
-		}
-		return Accept, nil
-	}))
-	if _, err := c.CheckBatch(context.Background(), []string{"a", "b"}); err == nil {
-		t.Fatal("expected batch error from broken oracle")
-	}
-	broken = false
-	vs, err := c.CheckBatch(context.Background(), []string{"a", "b"})
-	if err != nil || vs[0] != Accept || vs[1] != Accept {
-		t.Fatalf("retry after batch error = %v, %v", vs, err)
-	}
-}
-
 func TestExecTrueFalse(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exec oracle spawns processes")

@@ -35,7 +35,7 @@ func stdinOracle(name string) int {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	v, err := reg.New(0, 1).Check(context.Background(), string(input))
+	v, err := reg.New(0).Check(context.Background(), string(input))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
@@ -58,7 +58,7 @@ func TestBuiltinFasterThanExec(t *testing.T) {
 	if !ok {
 		t.Fatal("builtin json not registered")
 	}
-	builtin := reg.New(0, 1)
+	builtin := reg.New(0)
 	ex := &oracle.Exec{Argv: []string{os.Args[0], "stdin-oracle", "json"}, Workers: 1}
 	ctx := context.Background()
 

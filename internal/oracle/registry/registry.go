@@ -102,7 +102,7 @@ func register(b builtin) {
 		Name:        b.name,
 		Description: b.desc,
 		Seeds:       b.seeds,
-		New: func(timeout time.Duration, _ int) oracle.CheckOracle {
+		New: func(timeout time.Duration) oracle.CheckOracle {
 			return NewInProcess(b.name, b.fn, timeout)
 		},
 	})
@@ -119,7 +119,7 @@ func init() {
 			Name:        p.Name(),
 			Description: "simulated program with coverage instrumentation (§8.3 fuzzing evaluation)",
 			Seeds:       p.Seeds(),
-			New: func(timeout time.Duration, _ int) oracle.CheckOracle {
+			New: func(timeout time.Duration) oracle.CheckOracle {
 				return NewInProcess(p.Name(), func(s string) bool { return p.Run(s).OK }, timeout)
 			},
 		})
@@ -131,7 +131,7 @@ func init() {
 			Name:        t.Name,
 			Description: "hand-written parser for a §8.2 evaluation language",
 			Seeds:       append([]string(nil), t.DocSeeds...),
-			New: func(timeout time.Duration, _ int) oracle.CheckOracle {
+			New: func(timeout time.Duration) oracle.CheckOracle {
 				return NewInProcess(t.Name, t.Oracle, timeout)
 			},
 		})

@@ -14,7 +14,7 @@ import (
 // oracle promises: each bundled seed is accepted by the oracle it seeds.
 func TestBuiltinSeedsAccepted(t *testing.T) {
 	for _, reg := range oracle.NamedOracles() {
-		o := reg.New(0, 1)
+		o := reg.New(0)
 		for _, seed := range reg.Seeds {
 			v, err := o.Check(context.Background(), seed)
 			if err != nil {
@@ -48,7 +48,7 @@ func TestBuiltinRejects(t *testing.T) {
 			t.Errorf("builtin %q not registered", name)
 			continue
 		}
-		v, err := reg.New(0, 1).Check(context.Background(), bad)
+		v, err := reg.New(0).Check(context.Background(), bad)
 		if err != nil {
 			t.Errorf("builtin:%s on %q: %v", name, bad, err)
 			continue
@@ -65,7 +65,7 @@ func TestBuiltinRejects(t *testing.T) {
 func TestJSONStrictDisagreesWithJSON(t *testing.T) {
 	lenient, _ := oracle.LookupNamed(oracle.SpecBuiltin, "json")
 	strict, _ := oracle.LookupNamed(oracle.SpecBuiltin, "json-strict")
-	lo, so := lenient.New(0, 1), strict.New(0, 1)
+	lo, so := lenient.New(0), strict.New(0)
 	disagree := []string{`"top-level string"`, `42`, `true`, `null`, `3.5`, `{"dup":1,"dup":2}`}
 	for _, in := range disagree {
 		lv, err1 := lo.Check(context.Background(), in)

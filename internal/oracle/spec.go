@@ -46,10 +46,12 @@ type Spec struct {
 	Argv []string `json:"argv,omitempty"`
 	// ErrSubstring marks exec inputs invalid when stderr contains it even
 	// on exit status 0 (the paper's "program prints an error" signal).
+	// Only exec specs may set it.
 	ErrSubstring string `json:"err_substring,omitempty"`
-	// TimeoutMS bounds each query; zero uses the builder's default. For
-	// exec oracles a hanging run is killed (VerdictTimeout); builtins get
-	// the same guard from the registry wrapper.
+	// TimeoutMS bounds each query; zero uses the builder's default, and a
+	// negative value is invalid. For exec oracles a hanging run is killed
+	// (VerdictTimeout); builtins get the same guard from the registry
+	// wrapper.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 }
 
@@ -68,9 +70,12 @@ func (sp *Spec) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// Validate reports whether the spec names exactly one buildable oracle.
-// It does not consult the registration table — an unknown name fails at
-// Build, a malformed spec fails here.
+// Validate reports whether the spec names exactly one buildable oracle and
+// sets only fields that oracle uses: a named kind carries no argv and no
+// err_substring, exec carries no name, and timeout_ms is not negative.
+// Rejecting such a field rather than ignoring it keeps a client's setting
+// from being silently dropped. Validate does not consult the registration
+// table — an unknown name fails at Build, a malformed spec fails here.
 func (sp Spec) Validate() error {
 	switch sp.Type {
 	case SpecBuiltin, SpecProgram, SpecTarget:
@@ -80,7 +85,9 @@ func (sp Spec) Validate() error {
 		if len(sp.Argv) > 0 {
 			return fmt.Errorf("oracle spec: %s oracle cannot carry argv", sp.Type)
 		}
-		return nil
+		if sp.ErrSubstring != "" {
+			return fmt.Errorf("oracle spec: %s oracle cannot carry err_substring", sp.Type)
+		}
 	case SpecExec:
 		if len(sp.Argv) == 0 {
 			return fmt.Errorf("oracle spec: exec oracle needs argv")
@@ -88,12 +95,15 @@ func (sp Spec) Validate() error {
 		if sp.Name != "" {
 			return fmt.Errorf("oracle spec: exec oracle cannot carry a name")
 		}
-		return nil
 	case "":
 		return fmt.Errorf("oracle spec is empty: set type to one of builtin, program, target, exec")
 	default:
 		return fmt.Errorf("oracle spec: unknown type %q (want builtin, program, target, or exec)", sp.Type)
 	}
+	if sp.TimeoutMS < 0 {
+		return fmt.Errorf("oracle spec: timeout_ms must not be negative (got %d)", sp.TimeoutMS)
+	}
+	return nil
 }
 
 // IsExec reports whether the spec runs an external command — the property
@@ -213,7 +223,7 @@ func (sp Spec) Build(opt BuildOptions) (CheckOracle, []string, error) {
 	if !ok {
 		return nil, nil, fmt.Errorf("unknown %s oracle %q%s", sp.Type, sp.Name, nameHint(sp.Type))
 	}
-	return opt.wrap(reg.New(timeout, opt.Workers)), reg.Seeds, nil
+	return opt.wrap(reg.New(timeout)), reg.Seeds, nil
 }
 
 // Registration describes one named oracle in the process-wide table:
@@ -230,9 +240,10 @@ type Registration struct {
 	// Seeds are bundled example inputs, all accepted by the oracle; they
 	// default a learn request's seed set.
 	Seeds []string
-	// New builds the oracle. timeout bounds each query (zero = unbounded);
-	// workers sizes a concurrent bulk path for oracles that own one.
-	New func(timeout time.Duration, workers int) CheckOracle
+	// New builds the oracle; timeout bounds each query (zero =
+	// unbounded). Named oracles run in-process and own no bulk path, so
+	// their concurrency comes from the caller's pool.
+	New func(timeout time.Duration) CheckOracle
 }
 
 // named is the registration table; the registry package fills it at init.

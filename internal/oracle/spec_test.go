@@ -17,13 +17,13 @@ var registerSpecTestOracles = sync.OnceFunc(func() {
 	RegisterNamed(Registration{
 		Kind: SpecBuiltin, Name: "spec-test", Description: "spec test fake",
 		Seeds: []string{"ok", "ok ok"},
-		New: func(timeout time.Duration, workers int) CheckOracle {
+		New: func(timeout time.Duration) CheckOracle {
 			return Func(func(s string) bool { return strings.Contains(s, "ok") })
 		},
 	})
 	RegisterNamed(Registration{
 		Kind: SpecProgram, Name: "spec-test-prog", Description: "spec test fake program",
-		New: func(timeout time.Duration, workers int) CheckOracle {
+		New: func(timeout time.Duration) CheckOracle {
 			return Func(func(s string) bool { return s == "prog" })
 		},
 	})
@@ -171,7 +171,8 @@ func TestParseSpecForms(t *testing.T) {
 }
 
 // TestSpecValidate covers the malformed-spec cases Build must refuse
-// before consulting the registry.
+// before consulting the registry, including fields the named oracle would
+// ignore (err_substring on a builtin) and a negative timeout_ms.
 func TestSpecValidate(t *testing.T) {
 	bad := []Spec{
 		{},
@@ -180,6 +181,8 @@ func TestSpecValidate(t *testing.T) {
 		{Type: SpecBuiltin, Name: "json", Argv: []string{"x"}},
 		{Type: SpecExec},
 		{Type: SpecExec, Argv: []string{"true"}, Name: "x"},
+		{Type: SpecBuiltin, Name: "spec-test", ErrSubstring: "error"},
+		{Type: SpecExec, Argv: []string{"true"}, TimeoutMS: -1},
 	}
 	for _, sp := range bad {
 		if err := sp.Validate(); err == nil {

@@ -338,7 +338,7 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusConflict, "grammar %q has no usable oracle for validation: %v", id, err)
 			return
 		}
-		check = timedOracle{inner: o, h: s.met.oracleGenerate}
+		check = metrics.NewQueryTimer(o, s.met.oracleGenerate)
 	}
 	// Resolve the fuzzer before any deadline or slot below: building one
 	// parses every seed (Earley, potentially slow and uncancellable). The

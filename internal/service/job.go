@@ -402,11 +402,10 @@ func (s *Server) runJob(j *Job) {
 	if len(seeds) == 0 {
 		seeds = defaults
 	}
-	timer := metrics.NewQueryTimer(o)
 	// Per-query latencies mirror into the shared registry's job-source
 	// histogram, and phase spans are recorded for the job record, the API,
 	// and /v1/stats.
-	timer.Mirror(s.met.oracleJob)
+	timer := metrics.NewQueryTimer(o, s.met.oracleJob)
 	spans := &telemetry.SpanRecorder{}
 	opts.Progress = j.appendEvent
 	opts.Tracer = spans

@@ -122,7 +122,7 @@ func TestEndToEndLearnServeGenerate(t *testing.T) {
 
 	// Restart: a fresh server over the same data dir must serve the stored
 	// grammar and generate from it without relearning.
-	_, ts2 := testServer(t, dir)
+	srv2, ts2 := testServer(t, dir)
 	resp, err = http.Get(ts2.URL + "/v1/grammars/" + st.GrammarID)
 	if err != nil {
 		t.Fatal(err)
@@ -152,6 +152,11 @@ func TestEndToEndLearnServeGenerate(t *testing.T) {
 		if !p.Run(in).OK {
 			t.Errorf("valid-filtered input rejected by program: %q", in)
 		}
+	}
+	// Every validation query is one observation on the generate-source
+	// latency series.
+	if got := srv2.met.oracleGenerate.Snapshot().Count; got != uint64(gen.Attempts) {
+		t.Errorf("generate latency series observed %d queries, want %d", got, gen.Attempts)
 	}
 }
 
@@ -214,6 +219,8 @@ func TestSubmitValidation(t *testing.T) {
 		{"unknown program", `{"oracle":{"type":"program","name":"nope"}}`, `unknown program oracle "nope"`},
 		{"unknown field", `{"oracle":{"type":"program","name":"sed"},"bogus":1}`, `unknown field "bogus"`},
 		{"retired spec key", `{"oracle":{"program":"sed"}}`, `unknown field "program"`},
+		{"ignored err_substring", `{"oracle":{"type":"program","name":"sed","err_substring":"error"}}`, "cannot carry err_substring"},
+		{"negative timeout", `{"oracle":{"type":"program","name":"sed","timeout_ms":-1}}`, "timeout_ms must not be negative"},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))

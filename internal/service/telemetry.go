@@ -1,9 +1,6 @@
 package service
 
 import (
-	"context"
-	"time"
-
 	"glade/internal/oracle"
 	"glade/internal/telemetry"
 )
@@ -13,8 +10,9 @@ import (
 type serverMetrics struct {
 	oracleQueries *telemetry.Counter
 
-	// Per-source oracle latency histograms, fed by metrics.QueryTimer
-	// mirrors (jobs, campaigns) and by the generate validation wrapper.
+	// Per-source oracle latency histograms, each the mirror of the
+	// metrics.QueryTimer its source's queries run through (learn jobs,
+	// campaigns, validated generate).
 	oracleJob      *telemetry.Histogram
 	oracleCampaign *telemetry.Histogram
 	oracleGenerate *telemetry.Histogram
@@ -114,20 +112,4 @@ func snapValue(snap []telemetry.MetricPoint, name string) float64 {
 		}
 	}
 	return 0
-}
-
-// timedOracle observes every Check's latency on a histogram; the generate
-// validation path uses it where no QueryTimer is in the stack.
-type timedOracle struct {
-	inner oracle.CheckOracle
-	h     *telemetry.Histogram
-}
-
-// Check answers the query through the inner oracle and records its wall
-// time on the histogram.
-func (t timedOracle) Check(ctx context.Context, input string) (oracle.Verdict, error) {
-	start := time.Now()
-	v, err := t.inner.Check(ctx, input)
-	t.h.Observe(time.Since(start))
-	return v, err
 }

@@ -103,18 +103,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// Reset zeroes the histogram. It is not atomic with respect to concurrent
-// observers; callers that need a consistent epoch should swap in a fresh
-// Histogram instead.
-func (h *Histogram) Reset() {
-	h.count.Store(0)
-	h.sumNS.Store(0)
-	h.maxNS.Store(0)
-	for i := range h.buckets {
-		h.buckets[i].Store(0)
-	}
-}
-
 // HistogramSnapshot is an immutable copy of a Histogram's state.
 type HistogramSnapshot struct {
 	// Count is the total number of observations.

@@ -46,21 +46,6 @@ type TracerFunc func(Span)
 // Emit calls f(s).
 func (f TracerFunc) Emit(s Span) { f(s) }
 
-// MultiTracer fans each span out to every non-nil tracer in the list.
-func MultiTracer(ts ...Tracer) Tracer {
-	var live []Tracer
-	for _, t := range ts {
-		if t != nil {
-			live = append(live, t)
-		}
-	}
-	return TracerFunc(func(s Span) {
-		for _, t := range live {
-			t.Emit(s)
-		}
-	})
-}
-
 // NDJSONTracer writes each span as one JSON object per line. It serializes
 // writes internally, so a single instance may back multiple jobs.
 type NDJSONTracer struct {
