@@ -1,6 +1,6 @@
 # Mirrors the build job of .github/workflows/ci.yml so contributors can
 # run it locally (`make fuzz` is a longer run of the fuzz-smoke job; the
-# service, cluster and campaign smoke jobs run scripts/*_smoke.sh):
+# cluster and campaign smoke jobs run scripts/*_smoke.sh):
 #   make        -> build
 #   make ci     -> everything the workflow's build job runs
 .PHONY: all build test lint bench fuzz ci

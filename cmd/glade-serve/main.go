@@ -78,7 +78,6 @@ func main() {
 	logFormat := flag.String("log-format", "text", `log output format: "text" or "json"`)
 	logLevel := flag.String("log-level", "info", `minimum log level: "debug", "info", "warn", or "error" (debug includes per-request HTTP lines)`)
 	debugAddr := flag.String("debug-addr", "", "optional debug listener with net/http/pprof and /metrics (e.g. 127.0.0.1:6060); keep it on loopback — it is never mounted on the public mux")
-	quiet := flag.Bool("quiet", false, "suppress per-job log lines (same as -log-level error)")
 	peers := flag.String("peers", "", "comma-separated host:port list of every cluster member including this node; empty runs single-node")
 	self := flag.String("self", "", "this node's address as it appears in -peers (defaults to -addr); must match exactly for ownership routing")
 	flag.Parse()
@@ -90,9 +89,6 @@ func main() {
 	var level slog.Level
 	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {
 		fatal("bad -log-level %q: %v", *logLevel, err)
-	}
-	if *quiet {
-		level = slog.LevelError
 	}
 	hopts := &slog.HandlerOptions{Level: level}
 	var handler slog.Handler

@@ -62,6 +62,6 @@ func main() {
 	fmt.Println("\nSamples from the synthesized grammar:")
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 5; i++ {
-		fmt.Printf("  %q\n", glade.Sample(res.Grammar, rng))
+		fmt.Printf("  %q\n", c.Sample(rng))
 	}
 }

@@ -31,10 +31,11 @@ func main() {
 
 	// Estimate precision: how many sampled strings does the real oracle
 	// accept?
+	c := glade.Compile(res.Grammar)
 	ok := 0
 	const n = 300
 	for i := 0; i < n; i++ {
-		if tgt.Oracle(glade.Sample(res.Grammar, rng)) {
+		if tgt.Oracle(c.Sample(rng)) {
 			ok++
 		}
 	}
@@ -42,6 +43,6 @@ func main() {
 
 	fmt.Println("\nSome generated URLs:")
 	for i := 0; i < 6; i++ {
-		fmt.Printf("  %q\n", glade.Sample(res.Grammar, rng))
+		fmt.Printf("  %q\n", c.Sample(rng))
 	}
 }

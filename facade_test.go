@@ -56,8 +56,8 @@ func TestFacadeLearnParserSampler(t *testing.T) {
 			t.Fatalf("facade sampler produced invalid %q", s)
 		}
 	}
-	if s := Sample(res.Grammar, rng); !dyck(s) {
-		t.Fatalf("Sample produced invalid %q", s)
+	if s := c.Sample(rng); !dyck(s) {
+		t.Fatalf("default-depth Sample produced invalid %q", s)
 	}
 }
 

@@ -3,7 +3,6 @@ package glade
 import (
 	"context"
 	"errors"
-	"math/rand"
 	"testing"
 
 	"glade/internal/bytesets"
@@ -109,49 +108,4 @@ func TestCheckAllFacade(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestSampleCachesCompiledGrammar is the satellite contract: repeated
-// Sample calls on the same grammar compile it once, and the drawn strings
-// match the uncached sampler stream exactly.
-func TestSampleCachesCompiledGrammar(t *testing.T) {
-	res := learnDyck(t)
-	g := res.Grammar
-
-	// Same rng seed through both paths: identical streams.
-	cached := rand.New(rand.NewSource(7))
-	direct := rand.New(rand.NewSource(7))
-	sm := Compile(g)
-	for i := 0; i < 50; i++ {
-		a := Sample(g, cached)
-		b := sm.Sample(direct)
-		if a != b {
-			t.Fatalf("draw %d: cached Sample %q != fresh Compile %q", i, a, b)
-		}
-	}
-	// The cache holds this grammar's compiled form and reuses it.
-	sampleCache.Lock()
-	first := sampleCache.c
-	if sampleCache.g != g || first == nil {
-		sampleCache.Unlock()
-		t.Fatal("sample cache did not retain the grammar")
-	}
-	sampleCache.Unlock()
-	Sample(g, cached)
-	sampleCache.Lock()
-	if sampleCache.c != first {
-		sampleCache.Unlock()
-		t.Fatal("repeated Sample recompiled the grammar")
-	}
-	sampleCache.Unlock()
-
-	// Switching grammars swaps the slot.
-	other := learnDyck(t).Grammar
-	Sample(other, cached)
-	sampleCache.Lock()
-	if sampleCache.g != other {
-		sampleCache.Unlock()
-		t.Fatal("sample cache did not follow the new grammar")
-	}
-	sampleCache.Unlock()
 }

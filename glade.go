@@ -60,8 +60,6 @@ package glade
 import (
 	"context"
 	"io"
-	"math/rand"
-	"sync"
 
 	"glade/internal/cfg"
 	"glade/internal/core"
@@ -269,8 +267,8 @@ func LearnContext(ctx context.Context, seeds []string, o CheckOracle, opts Optio
 	return core.Learn(ctx, seeds, o, opts)
 }
 
-// DefaultSampleDepth is the sampling depth budget used by Sample and the
-// grammar fuzzer, and the initial MaxDepth of a CompiledGrammar.
+// DefaultSampleDepth is the sampling depth budget used by the grammar
+// fuzzer, and the initial MaxDepth of a CompiledGrammar.
 const DefaultSampleDepth = cfg.DefaultSampleDepth
 
 // CompiledGrammar is a Grammar lowered into flat index tables, the one
@@ -297,37 +295,4 @@ func NewGrammarFuzzer(g *Grammar, seeds []string) *fuzz.Grammar {
 // insertions and deletions on a random seed.
 func NewNaiveFuzzer(seeds []string, alphabet []byte) *fuzz.Naive {
 	return fuzz.NewNaive(seeds, alphabet)
-}
-
-// sampleCache memoizes the compiled form of the grammar most recently
-// passed to Sample, so repeated convenience calls on the same grammar pay
-// the Compile cost once instead of per call. One slot suffices for the
-// helper's intended use; callers juggling many grammars should Compile
-// each themselves.
-var sampleCache struct {
-	sync.Mutex
-	g *Grammar
-	c *CompiledGrammar
-}
-
-// Sample draws one string from the grammar — a convenience for quick use.
-// The first call on a grammar compiles it (cfg.Compile, linear in grammar
-// size) and caches the compiled form; subsequent calls on the same
-// *Grammar reuse it, so sampling in a loop costs one compile plus one
-// allocation per sample. The cache is keyed on the *Grammar pointer and
-// assumes the grammar is not mutated after its first Sample — a grammar
-// extended in place (AddNT/Add) keeps sampling its old language here;
-// Compile it yourself after mutations. The cache holds exactly one
-// grammar: alternating between grammars recompiles on every switch —
-// Compile once and use CompiledGrammar.Sample directly for that. The
-// drawn strings are those of Compile(g).Sample for the same rng stream.
-func Sample(g *Grammar, rng *rand.Rand) string {
-	sampleCache.Lock()
-	c := sampleCache.c
-	if sampleCache.g != g {
-		c = cfg.Compile(g)
-		sampleCache.g, sampleCache.c = g, c
-	}
-	sampleCache.Unlock()
-	return c.Sample(rng)
 }

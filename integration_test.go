@@ -90,9 +90,10 @@ func TestExecOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := Compile(res.Grammar)
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 20; i++ {
-		s := Sample(res.Grammar, rng)
+		s := c.Sample(rng)
 		if !strings.Contains(s, "ab") {
 			t.Fatalf("sampled %q without the mandatory substring", s)
 		}

@@ -50,6 +50,14 @@ import (
 	"glade/internal/telemetry"
 )
 
+// maxRefreshSeeds bounds the accept flips fed to one grammar refresh —
+// learning cost grows with seed count.
+const maxRefreshSeeds = 8
+
+// maxBucket bounds retained corpus entries per bucket; bucket counts keep
+// growing past it.
+const maxBucket = 100
+
 // Config configures a Campaign. Grammar, Seeds, and Oracle are required;
 // every other field has a usable default.
 type Config struct {
@@ -94,12 +102,6 @@ type Config struct {
 	RefreshEvery time.Duration
 	// RefreshTimeout bounds each refresh's learning time (default 30s).
 	RefreshTimeout time.Duration
-	// MaxRefreshSeeds bounds the accept flips fed to one refresh
-	// (default 8) — learning cost grows with seed count.
-	MaxRefreshSeeds int
-	// MaxBucket bounds retained corpus entries per bucket (default 100);
-	// bucket counts keep growing past it.
-	MaxBucket int
 	// RandSeed seeds the campaign's generators (default 1).
 	RandSeed int64
 	// Progress, when non-nil, receives report snapshots at the checkpoint
@@ -129,12 +131,6 @@ func (conf Config) withDefaults() Config {
 	}
 	if conf.RefreshTimeout <= 0 {
 		conf.RefreshTimeout = 30 * time.Second
-	}
-	if conf.MaxRefreshSeeds <= 0 {
-		conf.MaxRefreshSeeds = 8
-	}
-	if conf.MaxBucket <= 0 {
-		conf.MaxBucket = 100
 	}
 	if conf.RandSeed == 0 {
 		conf.RandSeed = 1
@@ -214,7 +210,7 @@ func New(conf Config) (*Campaign, error) {
 		naive:    fuzz.NewNaive(conf.Seeds, nil),
 		rng:      rand.New(rand.NewSource(conf.RandSeed)),
 		seen:     newSeenSet(1 << 16),
-		corpus:   newCorpus(conf.MaxBucket),
+		corpus:   newCorpus(maxBucket),
 	}
 	// The cost heuristic cares about the base oracle, so look through
 	// resilience/chaos wrappers; the Resilient layer itself, when present,
@@ -469,7 +465,7 @@ func (c *Campaign) maybeRefresh(ctx context.Context) {
 	}
 	c.lastRefresh = time.Now()
 	c.mu.Lock()
-	flips := c.corpus.recent(BucketAcceptFlip, c.conf.MaxRefreshSeeds)
+	flips := c.corpus.recent(BucketAcceptFlip, maxRefreshSeeds)
 	fresh := c.flipsSinceRefresh
 	c.mu.Unlock()
 	if fresh == 0 || len(flips) == 0 {
@@ -572,7 +568,7 @@ func (c *Campaign) snapshotLocked(done bool, now time.Time) Report {
 }
 
 // Snapshot returns the campaign's current report; safe to call
-// concurrently with Run (the glade-serve watch stream polls it).
+// concurrently with Run.
 func (c *Campaign) Snapshot() Report {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -30,7 +30,7 @@ type Report struct {
 	Accepted int `json:"accepted"`
 	Rejected int `json:"rejected"`
 	// Buckets is the per-bucket interesting-input total; Corpus holds the
-	// retained entries themselves (bounded per bucket by Config.MaxBucket).
+	// retained entries themselves (at most 100 per bucket; see maxBucket).
 	Buckets map[Bucket]int `json:"buckets"`
 	Corpus  []Entry        `json:"corpus"`
 	// Refreshes counts completed grammar refreshes; GrammarSymbols is the

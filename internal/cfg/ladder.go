@@ -19,9 +19,10 @@ import (
 //
 // Either of the first two rungs may be absent (grammar over the
 // construction budgets, or left-recursive for the VM); the ladder simply
-// skips missing rungs. Every consumer of Accepts/AcceptsAll — fuzzing,
-// campaign triage, service generation validation, the learner's
-// phase-2 candidate checks — inherits the ladder.
+// skips missing rungs. Every consumer of Accepts/AcceptsAll — campaign
+// triage, glade-serve's POST /v1/grammars/{id}/check, §8.2 scoring
+// (metrics.GrammarLang) and the quickstart example — inherits the ladder.
+// The grammar fuzzer does not: it uses Parse and SampleInto.
 
 // Rung identifies which engine of the compiled ladder produced a verdict.
 type Rung int32

@@ -38,7 +38,8 @@ import (
 // subprocess. A predicate panic answers Crash; when a timeout is set, a
 // query exceeding it answers Timeout (the predicate's goroutine is
 // abandoned — pure-Go code cannot be killed — but the caller moves on);
-// caller cancellation surfaces as an error, never as a verdict.
+// caller cancellation observed before an answer surfaces as an error,
+// never as a verdict.
 type InProcess struct {
 	name    string
 	fn      func(string) bool
@@ -55,23 +56,21 @@ func NewInProcess(name string, fn func(string) bool, timeout time.Duration) *InP
 // Name returns the registered name the oracle was built under.
 func (o *InProcess) Name() string { return o.name }
 
-// Check implements oracle.CheckOracle. The fast path — no timeout, no
-// cancellable context — answers inline; otherwise the predicate runs in
-// its own goroutine so a deadline or cancellation can be honored even
-// though the predicate itself is uninterruptible.
+// Check implements oracle.CheckOracle. With no timeout it answers inline
+// once ctx is checked, as oracle.Func does: the predicate cannot be
+// interrupted, so a goroutine would only let the query return while the
+// predicate kept running. With a timeout the predicate runs in its own
+// goroutine, so the deadline or the caller's cancellation is honored
+// even though the predicate itself is uninterruptible.
 func (o *InProcess) Check(ctx context.Context, input string) (oracle.Verdict, error) {
 	if err := ctx.Err(); err != nil {
 		return oracle.Reject, err
 	}
-	if o.timeout <= 0 && ctx.Done() == nil {
+	if o.timeout <= 0 {
 		return oracle.Protect(o.fn, input), nil
 	}
-	runCtx := ctx
-	if o.timeout > 0 {
-		var cancel context.CancelFunc
-		runCtx, cancel = context.WithTimeout(ctx, o.timeout)
-		defer cancel()
-	}
+	runCtx, cancel := context.WithTimeout(ctx, o.timeout)
+	defer cancel()
 	ch := make(chan oracle.Verdict, 1)
 	go func() { ch <- oracle.Protect(o.fn, input) }()
 	select {

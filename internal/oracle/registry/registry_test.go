@@ -177,8 +177,9 @@ func TestInProcessCallerCancellation(t *testing.T) {
 	}
 }
 
-// TestInProcessFastPath checks the no-timeout path answers without a
-// goroutine and still observes a pre-cancelled context.
+// TestInProcessFastPath checks the no-timeout path answers inline —
+// without a goroutine, so without allocating, even under a live
+// cancellable context — and still observes a pre-cancelled context.
 func TestInProcessFastPath(t *testing.T) {
 	o := NewInProcess("even", func(s string) bool { return len(s)%2 == 0 }, 0)
 	if v, err := o.Check(context.Background(), "ab"); err != nil || v != oracle.Accept {
@@ -188,6 +189,13 @@ func TestInProcessFastPath(t *testing.T) {
 		t.Fatalf("Check(odd) = %v, %v", v, err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
+	if allocs := testing.AllocsPerRun(100, func() {
+		if v, err := o.Check(ctx, "ab"); err != nil || v != oracle.Accept {
+			t.Fatalf("Check under live ctx = %v, %v", v, err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("no-timeout Check under a cancellable ctx allocates %.1f times per query", allocs)
+	}
 	cancel()
 	if _, err := o.Check(ctx, "ab"); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled ctx: err = %v", err)

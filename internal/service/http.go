@@ -284,7 +284,8 @@ const (
 	validGenerateTime = 2 * time.Minute
 )
 
-// handleGenerate draws fuzz inputs from a stored grammar's pooled fuzzer.
+// handleGenerate draws fuzz inputs from a stored grammar's fuzzer, the one
+// its store entry holds over the ladder POST …/check runs on.
 // Query parameters: n (count, default 10, max 10000); valid=1 filters
 // through the grammar's recorded oracle so only oracle-accepted inputs are
 // returned (n capped at 500, bounded attempts and a server-side deadline —
@@ -340,15 +341,16 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		}
 		check = metrics.NewQueryTimer(o, s.met.oracleGenerate)
 	}
-	// Resolve the fuzzer before any deadline or slot below: building one
+	// Build the fuzzer before any deadline or slot below: building one
 	// parses every seed (Earley, potentially slow and uncancellable). The
 	// entry is held directly so LRU churn during a semaphore wait cannot
 	// force a rebuild inside the deadline-bounded slot.
-	e, err := s.fuzzers.entry(id)
+	e, err := s.store.entry(id)
 	if err != nil {
 		writeError(w, http.StatusNotFound, "%v", err)
 		return
 	}
+	e.fuzzer()
 	if valid {
 		// Validation may run a subprocess per candidate: bound the whole
 		// request with a deadline and take a slot on the server-wide

@@ -44,23 +44,26 @@ func TestWatchAfterOverflow(t *testing.T) {
 }
 
 // TestGenerateRetryAfterEarlyRequest checks a generate that arrives before
-// the grammar exists does not poison the fuzzer pool for that id.
+// the grammar exists does not poison the store's entry for that id.
 func TestGenerateRetryAfterEarlyRequest(t *testing.T) {
 	store, err := OpenStore(t.TempDir(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := newFuzzerPool(store)
-	if _, _, err := pool.Generate(context.Background(), "early", 3, nil); err == nil {
-		t.Fatal("generate for a missing grammar succeeded")
+	if _, err := store.entry("early"); err == nil {
+		t.Fatal("entry for a missing grammar resolved")
 	}
 	g := mustGrammar(t, "start A\nA -> \"ab\"\n")
 	if err := store.Put(g, GrammarMeta{ID: "early", Seeds: []string{"ab"}, CreatedAt: time.Now()}); err != nil {
 		t.Fatal(err)
 	}
-	inputs, _, err := pool.Generate(context.Background(), "early", 3, nil)
+	e, err := store.entry("early")
 	if err != nil {
-		t.Fatalf("generate after store still failing: %v", err)
+		t.Fatalf("entry after store still failing: %v", err)
+	}
+	inputs, _, err := e.generate(context.Background(), 3, nil)
+	if err != nil {
+		t.Fatalf("generate after store failed: %v", err)
 	}
 	if len(inputs) != 3 {
 		t.Fatalf("got %d inputs", len(inputs))
@@ -74,9 +77,12 @@ func TestGenerateRespectsContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := newFuzzerPool(store)
 	g := mustGrammar(t, "start A\nA -> \"ab\"\n")
 	if err := store.Put(g, GrammarMeta{ID: "g", Seeds: []string{"ab"}, CreatedAt: time.Now()}); err != nil {
+		t.Fatal(err)
+	}
+	e, err := store.entry("g")
+	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -88,7 +94,7 @@ func TestGenerateRespectsContext(t *testing.T) {
 		}
 		return oracle.Reject, nil
 	})
-	_, attempts, err := pool.Generate(ctx, "g", 100, reject)
+	_, attempts, err := e.generate(ctx, 100, reject)
 	if err == nil {
 		t.Fatal("canceled generate returned nil error")
 	}

@@ -22,17 +22,12 @@ func requestID(ctx context.Context) string {
 // instrument wraps the public mux with the observability stack: a
 // per-request ID (generated, stored in the context, echoed as
 // X-Request-ID, and logged), then the telemetry HTTP middleware counting
-// requests and timing them per route pattern. The route label comes from
-// the mux's own pattern resolution, so client-probed garbage paths all
-// collapse into one "unmatched" label instead of minting metric children.
+// requests and timing them per route pattern. The route label is the
+// pattern the mux matched while serving, so client-probed garbage paths
+// all collapse into one "unmatched" label instead of minting metric
+// children.
 func (s *Server) instrument(mux *http.ServeMux) http.Handler {
-	route := func(r *http.Request) string {
-		if _, pattern := mux.Handler(r); pattern != "" {
-			return pattern
-		}
-		return "unmatched"
-	}
-	var h http.Handler = telemetry.HTTPMetrics(s.reg, route, mux)
+	h := telemetry.HTTPMetrics(s.reg, mux)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := newID()
 		ctx := context.WithValue(r.Context(), requestIDKey{}, id)

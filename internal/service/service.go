@@ -30,8 +30,9 @@
 // Cancellation lands work in the "canceled" state — distinct from
 // "failed" — and persists it, like every other terminal outcome: learned
 // grammars, terminal job records, and campaign reports all live in the
-// disk-backed store and survive restarts. Generation requests draw from a
-// per-grammar pooled fuzzer so concurrent consumers scale.
+// disk-backed store and survive restarts. Membership checks and generation
+// requests for a grammar share its store entry, which builds the compiled
+// ladder and the fuzzer over it once, so concurrent consumers scale.
 package service
 
 import (
@@ -110,7 +111,7 @@ type Config struct {
 	// -log-level flags.
 	Logger *slog.Logger
 	// Registry receives the server's metrics (HTTP, job/campaign
-	// lifecycle, oracle latency, pool gauges) and backs GET /metrics. Nil
+	// lifecycle, oracle latency, store gauges) and backs GET /metrics. Nil
 	// gets a private registry, so metrics always work; pass one to share
 	// series with other subsystems or expose them on a debug listener.
 	Registry *telemetry.Registry
@@ -182,14 +183,13 @@ func (c Config) resolveRetries(req *int) int {
 	return min(r, c.MaxRetries)
 }
 
-// Server is the glade-serve daemon: a grammar store, bounded-concurrency
-// ledgers for learn jobs and campaigns, a pooled fuzz generator, and the
-// HTTP handler tying them together. Create with New, serve its Handler,
-// Close on shutdown.
+// Server is the glade-serve daemon: a grammar store (which also holds
+// each resident grammar's fuzzer), bounded-concurrency ledgers for learn
+// jobs and campaigns, and the HTTP handler tying them together. Create
+// with New, serve its Handler, Close on shutdown.
 type Server struct {
 	cfg     Config
 	store   *Store
-	fuzzers *fuzzerPool
 	handler http.Handler
 	log     *slog.Logger
 	reg     *telemetry.Registry
@@ -233,7 +233,6 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:        cfg,
 		store:      store,
-		fuzzers:    newFuzzerPool(store),
 		log:        logger,
 		reg:        reg,
 		met:        newServerMetrics(reg),

@@ -120,6 +120,42 @@ func TestEndToEndLearnServeGenerate(t *testing.T) {
 		t.Fatalf("served grammar differs from direct core.Learn:\n-- served --\n%s\n-- direct --\n%s", served, direct)
 	}
 
+	// /metrics reflects this traffic: lifecycle and oracle counters match
+	// the job, and HTTP series carry the pattern of the route that served
+	// each request — a path no route matches is labeled "unmatched".
+	resp, err = http.Get(ts.URL + "/no/such/route")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	resp, err = http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	exposition, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	text := "\n" + string(exposition)
+	for _, line := range []string{
+		"glade_jobs_submitted_total 1",
+		"glade_jobs_done_total 1",
+		fmt.Sprintf("glade_oracle_queries_total %d", st.Stats.OracleQueries),
+		`glade_http_requests_total{class="2xx",route="POST /v1/jobs"} 1`,
+		`glade_http_requests_total{class="4xx",route="unmatched"} 1`,
+		"glade_store_grammars 1",
+	} {
+		if !strings.Contains(text, "\n"+line+"\n") {
+			t.Errorf("/metrics lacks the line %q", line)
+		}
+	}
+	for _, series := range []string{
+		`glade_oracle_query_seconds_bucket{source="job"`,
+		`glade_http_request_seconds_bucket{route="GET /v1/jobs/{id}"`,
+	} {
+		if !strings.Contains(text, "\n"+series) {
+			t.Errorf("/metrics lacks a %s line", series)
+		}
+	}
+
 	// Restart: a fresh server over the same data dir must serve the stored
 	// grammar and generate from it without relearning.
 	srv2, ts2 := testServer(t, dir)
@@ -302,49 +338,6 @@ func TestValidGenerateCap(t *testing.T) {
 	}
 }
 
-// TestFuzzerPoolEviction: the fuzzer cache must stay LRU-bounded so a
-// long-lived daemon's memory does not grow with every grammar ever used
-// for generation, and each fuzzer must run on the store's own Compiled
-// rather than compile the grammar a second time.
-func TestFuzzerPoolEviction(t *testing.T) {
-	store, err := OpenStore(t.TempDir(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := mustGrammar(t, "start A\nA -> \"a\"\n")
-	pool := newFuzzerPool(store)
-	n := maxFuzzerEntries + 8
-	for i := 0; i < n; i++ {
-		id := fmt.Sprintf("g%03d", i)
-		if err := store.Put(g, GrammarMeta{ID: id, Seeds: []string{"a"}, CreatedAt: time.Now()}); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := pool.Generate(context.Background(), id, 1, nil); err != nil {
-			t.Fatalf("generate %s: %v", id, err)
-		}
-	}
-	pool.mu.Lock()
-	size, lruLen := len(pool.entries), pool.lru.Len()
-	_, oldestOK := pool.entries["g000"]
-	_, newestOK := pool.entries[fmt.Sprintf("g%03d", n-1)]
-	pool.mu.Unlock()
-	if size != maxFuzzerEntries || lruLen != size {
-		t.Fatalf("pool holds %d entries (lru %d), want %d", size, lruLen, maxFuzzerEntries)
-	}
-	if oldestOK || !newestOK {
-		t.Fatalf("LRU order wrong: oldest present=%v newest present=%v", oldestOK, newestOK)
-	}
-	// An evicted grammar is rebuilt transparently on its next use.
-	if inputs, _, err := pool.Generate(context.Background(), "g000", 1, nil); err != nil || len(inputs) != 1 {
-		t.Fatalf("regenerate after eviction: %v (%d inputs)", err, len(inputs))
-	}
-	e, err := pool.entry("g000")
-	c, cerr := store.Compiled("g000")
-	if err != nil || cerr != nil || e.fz.Compiled() != c {
-		t.Fatalf("pooled fuzzer does not run on the store's Compiled (%v, %v)", err, cerr)
-	}
-}
-
 // TestStatsAndListings checks /v1/stats, job and grammar listings after a
 // couple of jobs.
 func TestStatsAndListings(t *testing.T) {
@@ -405,8 +398,8 @@ func TestStatsAndListings(t *testing.T) {
 }
 
 // TestConcurrentGenerate hammers one grammar's generate endpoint from many
-// goroutines; with -race this exercises the fuzzer pool's concurrency
-// claims.
+// goroutines; with -race this exercises the concurrency claims of the
+// store entry's shared fuzzer and rng pool.
 func TestConcurrentGenerate(t *testing.T) {
 	srv, ts := testServer(t, t.TempDir())
 	_, body := postJSON(t, ts.URL+"/v1/jobs", JobSpec{Oracle: oracle.Spec{Type: oracle.SpecTarget, Name: "url"}})

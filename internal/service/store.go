@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"glade/internal/cfg"
+	"glade/internal/fuzz"
 	"glade/internal/oracle"
 )
 
@@ -44,23 +45,36 @@ type GrammarMeta struct {
 // content-addressed grammar blobs.
 const blobsDirName = "blobs"
 
-// maxCachedGrammars bounds the store's hot cache of parsed (and, on
-// demand, compiled) grammars. Entries are keyed by content hash, so two
-// ids storing identical grammars share one cache slot and one compiled
-// engine; least-recently-used entries are evicted and simply reload from
-// their blob on next use.
+// maxCachedGrammars bounds the store's hot cache: a long-lived daemon may
+// serve far more grammars than it should hold compiled ladders and parsed
+// seed trees for at once. Least-recently-used entries are evicted and
+// simply reload from their blob on next use, paying the parse, the
+// compile and the seed parsing again.
 const maxCachedGrammars = 128
 
-// cacheEntry is one resident grammar: its canonical text, the parsed
-// form, and — built lazily on first membership use — the compiled ladder.
-// Immutable after construction apart from the compile-once.
+// cacheEntry is one resident grammar id: its canonical text, the parsed
+// form, the seeds recorded for the id, and — each built once, on first
+// use — the compiled ladder that answers membership checks and the
+// grammar fuzzer over that same ladder. Immutable after construction
+// apart from the build-onces, so an evicted entry keeps serving the
+// requests that still hold it.
+//
+// fuzz.Grammar is safe for concurrent Next calls with distinct rngs: its
+// flattened seed trees are read-only, each call copies one into scratch
+// from the fuzzer's own pool before mutating it, and the compiled engine
+// is read-only after construction. Each generate draws a private rng
+// from rngs.
 type cacheEntry struct {
-	sha  string
-	text string
-	g    *cfg.Grammar
+	text  string
+	g     *cfg.Grammar
+	seeds []string
 
 	compileOnce sync.Once
 	compiled    *cfg.Compiled
+
+	fuzzOnce sync.Once
+	fz       *fuzz.Grammar
+	rngs     sync.Pool // *rand.Rand
 
 	elem *list.Element // position in Store.lru; guarded by Store.mu
 }
@@ -72,25 +86,33 @@ func (e *cacheEntry) engine() *cfg.Compiled {
 	return e.compiled
 }
 
+// fuzzer returns the entry's grammar fuzzer over engine(), building it on
+// first use; the build parses every seed under the grammar. Safe for
+// concurrent callers.
+func (e *cacheEntry) fuzzer() *fuzz.Grammar {
+	e.fuzzOnce.Do(func() { e.fz = fuzz.NewGrammarFrom(e.engine(), e.seeds) })
+	return e.fz
+}
+
 // Store is the disk-backed grammar store. Grammar bytes are immutable and
 // content-addressed: blobs/<sha256>.grammar holds the canonical
 // cfg.Marshal text, <id>.json metadata points at the hash, and identical
 // grammars stored under any number of ids share one blob. Metadata for
 // every grammar is loaded at open (so the daemon serves grammars learned
 // by earlier incarnations); grammar text is loaded — and parsed, and on
-// demand compiled — through an LRU hot cache keyed by content hash, so
-// repeat membership and generation traffic never re-reads or re-parses
-// from disk. Writes go through a temp-file rename so a crash never leaves
-// a half-written grammar behind; stale temp files from interrupted writes
-// are swept at open.
+// demand compiled and wrapped in a fuzzer — through an LRU hot cache
+// keyed by grammar id, so repeat membership and generation traffic never
+// re-reads or re-parses from disk. Writes go through a temp-file rename
+// so a crash never leaves a half-written grammar behind; stale temp files
+// from interrupted writes are swept at open.
 type Store struct {
 	dir string
 	log *slog.Logger
 
 	mu    sync.Mutex
 	metas map[string]*GrammarMeta
-	cache map[string]*cacheEntry // keyed by content hash
-	lru   *list.List             // front = most recently used; values are hashes
+	cache map[string]*cacheEntry // keyed by grammar id
+	lru   *list.List             // front = most recently used; values are ids
 }
 
 // OpenStore opens (creating if needed) the store rooted at dir and loads
@@ -205,9 +227,10 @@ func (s *Store) ensureBlob(sha string, text []byte) error {
 func (s *Store) Dir() string { return s.dir }
 
 // Put persists a learned grammar and its metadata, then publishes it to
-// readers. The grammar is stored in cfg.Marshal text form — the same bytes
-// GET /v1/grammars/{id} serves — under its content hash; identical
-// grammars already stored are deduplicated to the existing blob.
+// readers, replacing any resident entry for the id. The grammar is stored
+// in cfg.Marshal text form — the same bytes GET /v1/grammars/{id} serves —
+// under its content hash; identical grammars already stored are
+// deduplicated to the existing blob.
 func (s *Store) Put(g *cfg.Grammar, meta GrammarMeta) error {
 	if meta.ID == "" {
 		return fmt.Errorf("service: store: empty grammar id")
@@ -229,9 +252,7 @@ func (s *Store) Put(g *cfg.Grammar, meta GrammarMeta) error {
 	defer s.mu.Unlock()
 	m := meta
 	s.metas[meta.ID] = &m
-	if _, ok := s.cache[sha]; !ok {
-		s.insertLocked(&cacheEntry{sha: sha, text: text, g: g})
-	}
+	s.insertLocked(meta.ID, &cacheEntry{text: text, g: g, seeds: meta.Seeds})
 	return nil
 }
 
@@ -253,11 +274,14 @@ func writeAtomic(path string, data []byte) error {
 	return os.Rename(tmp.Name(), path)
 }
 
-// insertLocked adds a cache entry and evicts beyond the cap. Callers hold
-// s.mu.
-func (s *Store) insertLocked(e *cacheEntry) {
-	e.elem = s.lru.PushFront(e.sha)
-	s.cache[e.sha] = e
+// insertLocked makes e the id's cache entry, replacing an older one, and
+// evicts beyond the cap. Callers hold s.mu.
+func (s *Store) insertLocked(id string, e *cacheEntry) {
+	if old, ok := s.cache[id]; ok {
+		s.lru.Remove(old.elem)
+	}
+	e.elem = s.lru.PushFront(id)
+	s.cache[id] = e
 	for s.lru.Len() > maxCachedGrammars {
 		back := s.lru.Back()
 		s.lru.Remove(back)
@@ -267,28 +291,27 @@ func (s *Store) insertLocked(e *cacheEntry) {
 
 // entry resolves a grammar id to its resident cache entry, loading and
 // parsing the blob on a miss. The steady-state path — the one every
-// membership check, generation, and text fetch rides — is a metadata map
-// lookup plus an LRU bump: no disk, no parse, no allocation beyond the
-// bump.
+// membership check, generation, and text fetch rides — is one map lookup
+// plus an LRU bump: no disk, no parse, no allocation. An entry exists
+// only once Put has stored the id or its blob has loaded, so a request
+// for an id that is not stored yet leaves nothing behind.
 func (s *Store) entry(id string) (*cacheEntry, error) {
 	s.mu.Lock()
-	meta, ok := s.metas[id]
-	if !ok {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("service: no grammar %q", id)
-	}
-	sha := meta.GrammarSHA
-	if e, ok := s.cache[sha]; ok {
+	if e, ok := s.cache[id]; ok {
 		s.lru.MoveToFront(e.elem)
 		s.mu.Unlock()
 		return e, nil
 	}
+	meta, ok := s.metas[id]
 	s.mu.Unlock()
+	if !ok {
+		return nil, fmt.Errorf("service: no grammar %q", id)
+	}
 
 	// Miss: load and parse outside the lock (a cold blob read must not
-	// stall hot lookups), then publish. A racing loader may have inserted
-	// the same hash meanwhile — use theirs, drop ours.
-	text, err := os.ReadFile(s.blobPath(sha))
+	// stall hot lookups), then publish. A racing loader or Put may have
+	// inserted the id meanwhile — use theirs, drop ours.
+	text, err := os.ReadFile(s.blobPath(meta.GrammarSHA))
 	if err != nil {
 		return nil, fmt.Errorf("service: grammar %q: %w", id, err)
 	}
@@ -296,14 +319,14 @@ func (s *Store) entry(id string) (*cacheEntry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("service: grammar %q: %w", id, err)
 	}
-	e := &cacheEntry{sha: sha, text: string(text), g: g}
+	e := &cacheEntry{text: string(text), g: g, seeds: meta.Seeds}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if prior, ok := s.cache[sha]; ok {
+	if prior, ok := s.cache[id]; ok {
 		s.lru.MoveToFront(prior.elem)
 		return prior, nil
 	}
-	s.insertLocked(e)
+	s.insertLocked(id, e)
 	return e, nil
 }
 
@@ -316,8 +339,7 @@ func (s *Store) Text(id string) (string, bool) {
 	return e.text, true
 }
 
-// Grammar returns the parsed grammar, cached across calls (keyed by
-// content, so identical grammars under different ids share one parse).
+// Grammar returns the parsed grammar, cached across calls.
 func (s *Store) Grammar(id string) (*cfg.Grammar, error) {
 	e, err := s.entry(id)
 	if err != nil {
@@ -327,9 +349,9 @@ func (s *Store) Grammar(id string) (*cfg.Grammar, error) {
 }
 
 // Compiled returns the grammar's compiled recognition ladder, built once
-// per resident cache entry and shared by every id with identical content —
-// membership traffic (POST /v1/grammars/{id}/check) never re-parses or
-// re-compiles from disk at steady state.
+// per resident cache entry — membership traffic (POST
+// /v1/grammars/{id}/check) never re-parses or re-compiles from disk at
+// steady state, and the entry's fuzzer runs on the same ladder.
 func (s *Store) Compiled(id string) (*cfg.Compiled, error) {
 	e, err := s.entry(id)
 	if err != nil {

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -38,8 +39,8 @@ func writeLegacyEntry(t *testing.T, dir, id, text string) {
 }
 
 // TestStorePutDeduplicates pins the CAS dedup contract: the same grammar
-// stored under two ids shares one blob, one cache entry, and one compiled
-// engine; a different grammar gets its own blob.
+// stored under two ids shares one blob on disk; a different grammar gets
+// its own blob.
 func TestStorePutDeduplicates(t *testing.T) {
 	s, err := OpenStore(t.TempDir(), nil)
 	if err != nil {
@@ -64,19 +65,14 @@ func TestStorePutDeduplicates(t *testing.T) {
 	if m1.GrammarSHA != m2.GrammarSHA || m1.GrammarSHA == m3.GrammarSHA {
 		t.Fatalf("hash sharing wrong: %s %s %s", m1.GrammarSHA, m2.GrammarSHA, m3.GrammarSHA)
 	}
-	c1, err := s.Compiled("first")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := s.Compiled("second")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c1 != c2 {
-		t.Fatal("identical grammars under different ids should share one compiled engine")
-	}
-	if !c1.Accepts("a") || c1.Accepts("0") {
-		t.Fatal("compiled engine answers wrong grammar")
+	for _, id := range []string{"first", "second"} {
+		c, err := s.Compiled(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !c.Accepts("a") || c.Accepts("0") {
+			t.Fatalf("compiled engine of %s answers wrong grammar", id)
+		}
 	}
 	c3, err := s.Compiled("third")
 	if err != nil {
@@ -125,8 +121,11 @@ func TestStoreSweepsTempFiles(t *testing.T) {
 }
 
 // TestStoreCacheEviction drives more distinct grammars through the store
-// than the hot cache holds: evicted entries must transparently reload from
-// their blobs.
+// than the hot cache holds: the cache must stay LRU-bounded, so a
+// long-lived daemon's memory does not grow with every grammar ever used,
+// and evicted entries must transparently reload from their blobs. An
+// entry's fuzzer, resident or rebuilt after a reload, must run on the
+// store's own Compiled rather than compile the grammar a second time.
 func TestStoreCacheEviction(t *testing.T) {
 	s, err := OpenStore(t.TempDir(), nil)
 	if err != nil {
@@ -136,14 +135,23 @@ func TestStoreCacheEviction(t *testing.T) {
 	texts := make([]string, n)
 	for i := 0; i < n; i++ {
 		// Distinct content per id so every entry is its own blob.
-		texts[i] = "start A\nA -> \"" + strings.Repeat("x", i+1) + "\"\n"
+		word := strings.Repeat("x", i+1)
+		texts[i] = "start A\nA -> \"" + word + "\"\n"
 		g := mustGrammar(t, texts[i])
-		if err := s.Put(g, GrammarMeta{ID: idFor(i), CreatedAt: time.Now()}); err != nil {
+		if err := s.Put(g, GrammarMeta{ID: idFor(i), Seeds: []string{word}, CreatedAt: time.Now()}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := s.CacheLen(); got > maxCachedGrammars {
-		t.Fatalf("cache exceeded its cap: %d > %d", got, maxCachedGrammars)
+	s.mu.Lock()
+	size, lruLen := len(s.cache), s.lru.Len()
+	_, oldestOK := s.cache[idFor(0)]
+	_, newestOK := s.cache[idFor(n-1)]
+	s.mu.Unlock()
+	if size != maxCachedGrammars || lruLen != size || s.CacheLen() != size {
+		t.Fatalf("cache holds %d entries (lru %d), want %d", size, lruLen, maxCachedGrammars)
+	}
+	if oldestOK || !newestOK {
+		t.Fatalf("LRU order wrong: oldest present=%v newest present=%v", oldestOK, newestOK)
 	}
 	// The oldest entries were evicted; reading them must reload and parse
 	// from the blob with identical bytes.
@@ -151,6 +159,20 @@ func TestStoreCacheEviction(t *testing.T) {
 		text, ok := s.Text(idFor(i))
 		if !ok || text != texts[i] {
 			t.Fatalf("evicted entry %d did not reload (ok=%v)", i, ok)
+		}
+	}
+	for _, i := range []int{0, n - 1} {
+		e, err := s.entry(idFor(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs, _, err := e.generate(context.Background(), 1, nil)
+		if err != nil || len(inputs) != 1 || inputs[0] != strings.Repeat("x", i+1) {
+			t.Fatalf("generate from %s: %v (%q)", idFor(i), err, inputs)
+		}
+		c, err := s.Compiled(idFor(i))
+		if err != nil || e.fuzzer().Compiled() != c {
+			t.Fatalf("fuzzer of %s does not run on the store's Compiled (%v)", idFor(i), err)
 		}
 	}
 }

@@ -69,11 +69,8 @@ func (s *Server) registerGauges() {
 	s.reg.GaugeFunc("glade_store_blobs", "Content-addressed grammar blobs on disk (deduplicated).", func() float64 {
 		return float64(s.store.BlobCount())
 	})
-	s.reg.GaugeFunc("glade_store_cache_entries", "Parsed grammars resident in the store's hot cache.", func() float64 {
+	s.reg.GaugeFunc("glade_store_cache_entries", "Grammars resident in the store's hot cache.", func() float64 {
 		return float64(s.store.CacheLen())
-	})
-	s.reg.GaugeFunc("glade_fuzzer_pool_entries", "Grammar fuzzers resident in the LRU pool.", func() float64 {
-		return float64(s.fuzzers.size())
 	})
 	s.reg.GaugeFunc("glade_validating_in_flight", "Validity-filtered generate requests holding a validation slot.", func() float64 {
 		return float64(len(s.validating))

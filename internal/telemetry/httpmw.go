@@ -12,25 +12,25 @@ import (
 //	glade_http_request_seconds{route}       latency histogram per route
 //	glade_http_in_flight                    requests currently being served
 //
-// route maps a request to its label value — typically the mux pattern that
-// will serve it, so label cardinality stays bounded no matter what paths
-// clients probe. A nil route labels every request "unknown".
-func HTTPMetrics(reg *Registry, route func(*http.Request) string, next http.Handler) http.Handler {
+// The route label is the http.ServeMux pattern that served the request,
+// which the mux stores in Request.Pattern while it serves; next is
+// typically that mux. A request no pattern matched is labeled
+// "unmatched", so label cardinality stays bounded no matter what paths
+// clients probe.
+func HTTPMetrics(reg *Registry, next http.Handler) http.Handler {
 	inFlight := reg.Gauge("glade_http_in_flight",
 		"HTTP requests currently being served.")
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		rt := "unknown"
-		if route != nil {
-			if v := route(r); v != "" {
-				rt = v
-			}
-		}
 		inFlight.Inc()
 		defer inFlight.Dec()
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		start := time.Now()
 		next.ServeHTTP(sw, r)
 		elapsed := time.Since(start)
+		rt := r.Pattern
+		if rt == "" {
+			rt = "unmatched"
+		}
 		reg.Counter("glade_http_requests_total",
 			"HTTP requests served, by route and status class.",
 			L("route", rt), L("class", statusClass(sw.status))).Inc()

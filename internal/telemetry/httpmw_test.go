@@ -27,11 +27,12 @@ func TestHTTPMetricsStatusClasses(t *testing.T) {
 	reg := NewRegistry()
 	for _, tc := range cases {
 		status := tc.status
+		route := tc.route
 		inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			r.Pattern = route // as http.ServeMux does for the pattern it matched
 			w.WriteHeader(status)
 		})
-		route := tc.route
-		h := HTTPMetrics(reg, func(*http.Request) string { return route }, inner)
+		h := HTTPMetrics(reg, inner)
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest("GET", "/whatever", nil))
 		if rec.Code != tc.status {
@@ -68,10 +69,11 @@ func TestHTTPMetricsStatusClasses(t *testing.T) {
 }
 
 // A handler that never calls WriteHeader must be counted as 200/2xx, and an
-// implicit write must not let a later WriteHeader overwrite the class.
+// implicit write must not let a later WriteHeader overwrite the class. A
+// request that matched no pattern is labeled "unmatched".
 func TestHTTPMetricsImplicitStatus(t *testing.T) {
 	reg := NewRegistry()
-	h := HTTPMetrics(reg, nil, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h := HTTPMetrics(reg, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprint(w, "ok")
 	}))
 	rec := httptest.NewRecorder()
@@ -81,8 +83,8 @@ func TestHTTPMetricsImplicitStatus(t *testing.T) {
 	if err := reg.WritePrometheus(&b); err != nil {
 		t.Fatalf("WritePrometheus: %v", err)
 	}
-	if !strings.Contains(b.String(), `glade_http_requests_total{class="2xx",route="unknown"} 1`) {
-		t.Errorf("implicit 200 not counted as 2xx/unknown:\n%s", b.String())
+	if !strings.Contains(b.String(), `glade_http_requests_total{class="2xx",route="unmatched"} 1`) {
+		t.Errorf("implicit 200 not counted as 2xx/unmatched:\n%s", b.String())
 	}
 }
 
@@ -91,7 +93,7 @@ func TestHTTPMetricsImplicitStatus(t *testing.T) {
 func TestStatusWriterFlushPassthrough(t *testing.T) {
 	reg := NewRegistry()
 	flushed := false
-	h := HTTPMetrics(reg, nil, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h := HTTPMetrics(reg, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		f, ok := w.(http.Flusher)
 		if !ok {
 			t.Fatal("middleware hides http.Flusher")
